@@ -793,6 +793,48 @@ mod tests {
         assert_eq!(acc.read_f64(), 2.5);
     }
 
+    /// The fan-in limit of `fpisa_netsim::ChaosWorkload`'s exactness
+    /// claim: eight FP16-exact quarter-grid values whose sum (39.75) FP16
+    /// holds exactly still saturate the 16-bit FPISA-A register whenever
+    /// the exponent-0 value arrives first — the register keeps exponent
+    /// 0, where it tops out just below 32. That is 7! = 5040 of the
+    /// 8! = 40320 arrival orders.
+    #[test]
+    fn fp16_tofino_saturates_for_orders_that_start_small() {
+        let values = [1.75f64, 3.5, 7.0, 3.5, 7.0, 6.0, 7.0, 4.0];
+        let mut order: Vec<usize> = (0..values.len()).collect();
+        let (mut exact, mut saturated) = (0u32, 0u32);
+        // Heap's algorithm over element positions.
+        let mut c = vec![0usize; order.len()];
+        let mut i = 0;
+        loop {
+            let mut acc = FpisaAccumulator::new(FpisaConfig::fp16_tofino());
+            for &k in &order {
+                acc.add_bits_quiet(FpFormat::FP16.encode(values[k]))
+                    .unwrap();
+            }
+            match acc.read_f64() {
+                39.75 => exact += 1,
+                31.984375 => {
+                    assert_eq!(order[0], 0, "only 1.75-first orders saturate");
+                    saturated += 1;
+                }
+                other => panic!("order {order:?} read {other}"),
+            }
+            while i < order.len() && c[i] >= i {
+                c[i] = 0;
+                i += 1;
+            }
+            if i == order.len() {
+                break;
+            }
+            order.swap(if i % 2 == 0 { 0 } else { c[i] }, i);
+            c[i] += 1;
+            i = 0;
+        }
+        assert_eq!((saturated, exact), (5040, 40320 - 5040));
+    }
+
     #[test]
     fn bf16_aggregation() {
         let cfg = FpisaConfig::new(FpFormat::BF16, 16, FpisaMode::Approximate);

@@ -66,13 +66,21 @@ use rand::{rngs::SmallRng, Rng, SeedableRng};
 ///
 /// Every value is `±m · 2^e` with `m ∈ {1.0, 1.25, 1.5, 1.75}` and
 /// `e ∈ {0, 1, 2}` — exactly representable in FP16 (and every wider
-/// format), with partial sums that stay inside FP16's exact integer/quarter
-/// grid for any fan-in this workspace allows. Floating-point addition over
-/// such values is associative and commutative *without rounding*, so
-/// reordering or retransmission cannot change the result through float
-/// semantics: if a chaos run's sums differ from the lossless run's, the
-/// protocol double-counted, dropped, or corrupted a contribution. The
-/// workload isolates protocol correctness from float non-commutativity.
+/// format). Up to **5 workers** every partial sum, in every arrival
+/// order, is exact in FP16 *and* in the FPISA-A FP16 register on Tofino
+/// (16 bits, 4 headroom bits), so reordering or retransmission cannot
+/// change the result through float semantics: if a chaos run's sums
+/// differ from the lossless run's, the protocol double-counted, dropped,
+/// or corrupted a contribution. The workload isolates protocol
+/// correctness from float non-commutativity.
+///
+/// From 6 workers on, the claim fails for FPISA-A FP16: a register
+/// whose first value has exponent 0 stays at exponent 0 and saturates
+/// just below 32 (for example, 5040 of the 40320 arrival orders of
+/// `[1.75, 3.5, 7, 3.5, 7, 6, 7, 4]` read 31.984375, not 39.75). There,
+/// a run's sums can depend on arrival order, and both
+/// [`ChaosWorkload::exact_sums`] and chaos-vs-lossless equality hold
+/// only for seeds where no slot saturates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosWorkload {
     pub workers: u32,

@@ -4,10 +4,11 @@
 //! For both switch substrates — FPISA FP16 on Tofino (1 and 3 shards)
 //! and the SwitchML fixed-point baseline — a seeded run with 10% loss,
 //! duplication, reordering and one worker crash/restart must produce
-//! per-round sums **bit-for-bit equal** to the lossless run. The
-//! workload ([`ChaosWorkload`]) is FP16-exact and order-free, so any
-//! difference indicts the protocol (double count, lost contribution,
-//! accepted corruption), not float non-commutativity. Permanent failures
+//! per-round sums **bit-for-bit equal** to the lossless run. At the 4
+//! workers used here the workload ([`ChaosWorkload`]) is exact and
+//! order-free on both substrates (FPISA-A FP16 keeps that property up to
+//! 5 workers), so any difference indicts the protocol (double count, lost
+//! contribution, accepted corruption), not float non-commutativity. Permanent failures
 //! must degrade gracefully — rounds complete with the surviving
 //! contributor set and a reported shortfall — and every run must replay
 //! exactly from `(seed, FaultPlan)`.

@@ -77,7 +77,6 @@ use crate::register::{
 };
 use crate::switch::{ProgramError, RuntimeError, Switch, SwitchProgram};
 use crate::table::{KeyMatch, Table};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -254,20 +253,12 @@ struct CompiledTable {
     selector: Option<SelectorTape>,
 }
 
-/// Default widest combined varying-key width (bits) for which
+/// Widest combined varying-key width (bits) for which
 /// `CompiledTable::lookup_lanes` dispatches through a per-batch action
-/// LUT instead of per-packet matching. Tunable per compile via
-/// [`CompiledSwitch::compile_tuned`] up to [`SPLIT_LUT_MAX_BITS`].
-pub const SPLIT_LUT_BITS_DEFAULT: u32 = 10;
-
-/// Hard ceiling on the split-key LUT width: 2^10 × u32 = 4 KiB per
-/// batch, still rebuilt profitably when the batch has at least as many
-/// lanes as the LUT has entries.
-pub const SPLIT_LUT_MAX_BITS: u32 = 10;
-
-/// Widest LUT kept on the stack; wider plans spill to a heap scratch
-/// buffer reused across batches (`CompiledSwitch::lutbuf`).
-const SPLIT_LUT_STACK_BITS: u32 = 6;
+/// LUT instead of per-packet matching. The LUT lives on the stack
+/// (2^6 × u32 = 256 B); every built-in program's split keys are 1–2 bits
+/// wide, and its unsplit ones are wider than 10.
+const SPLIT_LUT_BITS: u32 = 6;
 
 /// Split-key dispatch plan for a table whose key tuple mixes *stable*
 /// fields (never written by any action — an opcode) with a few bits of
@@ -286,7 +277,7 @@ struct SplitKey {
     /// inside the compact LUT index.
     varying: Box<[(u16, u32, u64)]>,
     /// Total varying width; LUT has `1 << width` entries
-    /// (≤ [`SPLIT_LUT_MAX_BITS`]).
+    /// (≤ [`SPLIT_LUT_BITS`]).
     width: u32,
 }
 
@@ -412,7 +403,6 @@ impl CompiledTable {
         pass: &mut [bool],
         keybuf: &mut Vec<u64>,
         row: &mut [u64],
-        lutbuf: &mut Vec<u32>,
     ) -> Option<u32> {
         let dflt = self.default_action.unwrap_or(MISS);
         if let Matcher::Const(a) = &self.matcher {
@@ -434,17 +424,8 @@ impl CompiledTable {
                 for &f in s.stable.iter() {
                     row[f as usize] = buf[f as usize * cap];
                 }
-                // Narrow plans fill a stack LUT; wide ones (up to 2^10
-                // entries) spill to the reused heap scratch so the hot
-                // frame stays small either way.
-                let mut stack_lut = [MISS; 1 << SPLIT_LUT_STACK_BITS];
-                let lut: &mut [u32] = if m <= stack_lut.len() {
-                    &mut stack_lut[..m]
-                } else {
-                    lutbuf.clear();
-                    lutbuf.resize(m, MISS);
-                    &mut lutbuf[..]
-                };
+                let mut lut_buf = [MISS; 1 << SPLIT_LUT_BITS];
+                let lut = &mut lut_buf[..m];
                 let mut first_a = MISS;
                 let mut all_same = true;
                 for (combo, slot) in lut.iter_mut().enumerate() {
@@ -863,43 +844,26 @@ impl CompiledPrim {
         vals[self.dst as usize * stride + lane] = out & self.dst_mask;
     }
 
-    /// Instruction-major batch execution: this one op across `n` lanes,
-    /// with the ALU dispatch hoisted out of the packet loop so each arm is
-    /// a tight load/compute/store loop over the columns.
-    fn execute_lane(&self, buf: &mut [u64], cap: usize, n: usize) {
-        self.execute_lane_impl::<false>(buf, cap, n, &[], 0);
-    }
-
     /// Predicated instruction-major execution: the op still sweeps every
     /// lane, but the store is a branchless select keeping lanes whose
     /// resolved action is not `sel` untouched. Computing a discarded lane
     /// is safe — primitives are total on `u64` (shifts are guarded) — and
     /// cheaper than a data-dependent branch per lane.
+    ///
+    /// Column access goes through a raw base pointer
+    /// (`raw_at`/`signed_at`) rather than slice indexing: the offsets were
+    /// validated against the layout when the program was lowered, and a
+    /// per-lane bounds check in these loops is exactly the branch that
+    /// stops the compiler from vectorizing them.
     fn execute_lane_pred(&self, buf: &mut [u64], cap: usize, n: usize, act: &[u32], sel: u32) {
-        self.execute_lane_impl::<true>(buf, cap, n, act, sel);
-    }
-
-    /// The shared sweep body. Column access goes through a raw base
-    /// pointer (`raw_at`/`signed_at`) rather than slice indexing: the
-    /// offsets were validated against the layout when the program was
-    /// lowered, and a per-lane bounds check in these loops is exactly the
-    /// branch that stops the compiler from vectorizing them.
-    fn execute_lane_impl<const PRED: bool>(
-        &self,
-        buf: &mut [u64],
-        cap: usize,
-        n: usize,
-        act: &[u32],
-        sel: u32,
-    ) {
         let d0 = self.dst as usize * cap;
         // SAFETY precondition for every access below: `buf` holds one
         // `cap`-sized column per layout field (the BatchLanes invariant),
-        // `dst` and all field operands index layout fields, and lanes run
-        // `0..n` with `n ≤ cap` — so every offset is in bounds. `act` is
-        // only read under PRED, where the caller passes `len ≥ n`.
+        // `dst` and all field operands index layout fields, lanes run
+        // `0..n` with `n ≤ cap`, and `act.len() ≥ n` — so every offset is
+        // in bounds.
         debug_assert!(d0 + n <= buf.len());
-        debug_assert!(!PRED || act.len() >= n);
+        debug_assert!(act.len() >= n);
         debug_assert!(n <= cap, "lane count {n} exceeds column capacity {cap}");
         debug_assert!(self.a.column_in_bounds(cap, n, buf.len()));
         debug_assert!(self.b.column_in_bounds(cap, n, buf.len()));
@@ -914,11 +878,7 @@ impl CompiledPrim {
                         let out: u64 = $e;
                         let v = out & mask;
                         let d = base.add(d0 + $i);
-                        *d = if !PRED || *act.get_unchecked($i) == sel {
-                            v
-                        } else {
-                            *d
-                        };
+                        *d = if *act.get_unchecked($i) == sel { v } else { *d };
                     }
                 }
             };
@@ -967,7 +927,8 @@ impl CompiledPrim {
         }
     }
 
-    /// Explicit SIMD sweep: both operands are loaded into
+    /// Instruction-major batch execution of this one op across `n` lanes
+    /// as an explicit SIMD sweep: both operands are loaded into
     /// [`LANE_CHUNK`]-wide locals, the ALU runs branchless over the chunk
     /// ([`alu_chunk`]), and the masked result is stored contiguously —
     /// with a scalar tail for the last `n % LANE_CHUNK` lanes. Loading a
@@ -977,8 +938,8 @@ impl CompiledPrim {
     /// always precedes the store for every lane of the chunk.
     ///
     /// Unpredicated only; divergent/predicated batches go through
-    /// [`CompiledPrim::execute_lane_impl`].
-    fn execute_lane_simd(&self, buf: &mut [u64], cap: usize, n: usize) {
+    /// [`CompiledPrim::execute_lane_pred`].
+    fn execute_lane(&self, buf: &mut [u64], cap: usize, n: usize) {
         let d0 = self.dst as usize * cap;
         debug_assert!(d0 + n <= buf.len());
         debug_assert!(n <= cap, "lane count {n} exceeds column capacity {cap}");
@@ -1067,13 +1028,13 @@ impl FusedPrim {
     }
 
     /// Explicit SIMD sweep of the fused pair (see
-    /// [`CompiledPrim::execute_lane_simd`]): stage one runs
+    /// [`CompiledPrim::execute_lane`]): stage one runs
     /// [`alu_chunk`] into a masked intermediate chunk, stage two feeds
     /// that chunk through the second op against the `c` operand's chunk.
     /// The intermediate's sign-extension shift is the destination's
     /// (`self.sx`), exactly as the scalar [`FusedPrim::execute`] computes
     /// `ts`.
-    fn execute_lane_simd(&self, buf: &mut [u64], cap: usize, n: usize) {
+    fn execute_lane(&self, buf: &mut [u64], cap: usize, n: usize) {
         let d0 = self.dst as usize * cap;
         debug_assert!(d0 + n <= buf.len());
         debug_assert!(n <= cap, "lane count {n} exceeds column capacity {cap}");
@@ -1090,7 +1051,7 @@ impl FusedPrim {
         let mut ov: Chunk = [0; LANE_CHUNK];
         let mut i0 = 0;
         while i0 + LANE_CHUNK <= n {
-            // SAFETY: as in `CompiledPrim::execute_lane_simd` — all
+            // SAFETY: as in `CompiledPrim::execute_lane` — all
             // chunk loads precede the store for every lane of the chunk.
             unsafe {
                 self.a.load_chunk(base, cap, i0, &mut ar);
@@ -1134,29 +1095,13 @@ impl TapeOp {
         }
     }
 
-    /// Unpredicated instruction-major execution. `simd` selects the
-    /// explicit chunk kernels; `false` keeps the scalar per-lane sweeps
-    /// (the portable baseline, and the reference the differential suites
-    /// pin the kernels against).
+    /// Unpredicated instruction-major execution through the explicit
+    /// chunk kernels.
     #[inline]
-    fn execute_lane(&self, buf: &mut [u64], cap: usize, n: usize, simd: bool) {
+    fn execute_lane(&self, buf: &mut [u64], cap: usize, n: usize) {
         match self {
-            TapeOp::Prim(p) => {
-                if simd {
-                    p.execute_lane_simd(buf, cap, n);
-                } else {
-                    p.execute_lane(buf, cap, n);
-                }
-            }
-            TapeOp::Fused2(f) => {
-                if simd {
-                    f.execute_lane_simd(buf, cap, n);
-                } else {
-                    for i in 0..n {
-                        f.execute(buf, cap, i);
-                    }
-                }
-            }
+            TapeOp::Prim(p) => p.execute_lane(buf, cap, n),
+            TapeOp::Fused2(f) => f.execute_lane(buf, cap, n),
         }
     }
 
@@ -1324,9 +1269,9 @@ struct SelectorOp {
 
 impl SelectorTape {
     /// Phase B for a divergent batch: one gathered sweep per template op.
-    fn execute_lanes(&self, buf: &mut [u64], cap: usize, n: usize, act: &[u32], simd: bool) {
+    fn execute_lanes(&self, buf: &mut [u64], cap: usize, n: usize, act: &[u32]) {
         for op in self.ops.iter() {
-            op.execute_lanes(buf, cap, n, act, self.base, &self.active, simd);
+            op.execute_lanes(buf, cap, n, act, self.base, &self.active);
         }
     }
 }
@@ -1334,10 +1279,6 @@ impl SelectorTape {
 impl SelectorOp {
     /// Sweep all lanes: each live lane computes its action's op with its
     /// action's operands; missed/inactive lanes keep their destination.
-    // Column geometry, action resolution, and the owning tape's
-    // base/active tables are genuinely independent inputs here; bundling
-    // them into a context struct would add a type for one call site.
-    #[allow(clippy::too_many_arguments)]
     fn execute_lanes(
         &self,
         buf: &mut [u64],
@@ -1346,7 +1287,6 @@ impl SelectorOp {
         act: &[u32],
         base: u32,
         active: &[bool],
-        simd: bool,
     ) {
         #[inline(always)]
         fn sext(raw: u64, sx: u32) -> i64 {
@@ -1363,69 +1303,67 @@ impl SelectorOp {
         let bsx = self.b.sx_shift();
         let base_ptr = buf.as_mut_ptr();
         let mut i0 = 0;
-        if simd {
-            let mut ar: Chunk = [0; LANE_CHUNK];
-            let mut br: Chunk = [0; LANE_CHUNK];
-            let mut ov: Chunk = [0; LANE_CHUNK];
-            let mut keep = [false; LANE_CHUNK];
-            let mut rel = [0usize; LANE_CHUNK];
-            while i0 + LANE_CHUNK <= n {
-                for (k, (r, on)) in rel.iter_mut().zip(keep.iter_mut()).enumerate() {
-                    let aid = act[i0 + k];
-                    let ri = aid.wrapping_sub(base) as usize;
-                    *on = aid != MISS && active[ri];
-                    // Dead lanes carry action row 0 (always in range, the
-                    // table has ≥ 2 actions) so every gather is total; the
-                    // computed garbage is masked out at the store.
-                    *r = if *on { ri } else { 0 };
-                }
-                // SAFETY: the function-level bounds preconditions above;
-                // the chunk [i0, i0 + LANE_CHUNK) is within `n` lanes and
-                // every `rel` row is in range.
-                unsafe {
-                    self.a.load_chunk(base_ptr, cap, i0, &rel, &mut ar);
-                    self.b.load_chunk(base_ptr, cap, i0, &rel, &mut br);
-                }
-                match &self.dispatch {
-                    SelDispatch::Uniform(op) => alu_chunk(*op, &ar, asx, &br, bsx, &mut ov),
-                    SelDispatch::ShiftMix(codes) => {
-                        for k in 0..LANE_CHUNK {
-                            let a = ar[k];
-                            let d = br[k];
-                            let live = 0u64.wrapping_sub(u64::from(d < 64));
-                            let shl = (a << (d & 63)) & live;
-                            let shr = (a >> (d & 63)) & live;
-                            let sar = (sext(a, asx) >> d.min(63)) as u64;
-                            // Mask-merge the three shifts by code — no
-                            // data-dependent branch and no stack-array
-                            // round-trip per lane.
-                            let c = codes[rel[k]];
-                            let m0 = 0u64.wrapping_sub(u64::from(c == 0));
-                            let m1 = 0u64.wrapping_sub(u64::from(c == 1));
-                            ov[k] = (shl & m0) | (shr & m1) | (sar & !(m0 | m1));
-                        }
-                    }
-                    SelDispatch::Mixed(ops) => {
-                        for k in 0..LANE_CHUNK {
-                            ov[k] = apply_alu(
-                                ops[rel[k]],
-                                ar[k],
-                                sext(ar[k], asx),
-                                br[k],
-                                sext(br[k], bsx),
-                            );
-                        }
-                    }
-                }
-                for (k, (&o, &on)) in ov.iter().zip(keep.iter()).enumerate() {
-                    // SAFETY: dst column bounds checked above.
-                    unsafe {
-                        let d = base_ptr.add(d0 + i0 + k);
-                        *d = if on { o & mask } else { *d };
-                    }
-                }
-                i0 += LANE_CHUNK;
+        let mut ar: Chunk = [0; LANE_CHUNK];
+        let mut br: Chunk = [0; LANE_CHUNK];
+        let mut ov: Chunk = [0; LANE_CHUNK];
+        let mut keep = [false; LANE_CHUNK];
+        let mut rel = [0usize; LANE_CHUNK];
+        while i0 + LANE_CHUNK <= n {
+            for (k, (r, on)) in rel.iter_mut().zip(keep.iter_mut()).enumerate() {
+                let aid = act[i0 + k];
+                let ri = aid.wrapping_sub(base) as usize;
+                *on = aid != MISS && active[ri];
+                // Dead lanes carry action row 0 (always in range, the
+                // table has ≥ 2 actions) so every gather is total; the
+                // computed garbage is masked out at the store.
+                *r = if *on { ri } else { 0 };
             }
+            // SAFETY: the function-level bounds preconditions above;
+            // the chunk [i0, i0 + LANE_CHUNK) is within `n` lanes and
+            // every `rel` row is in range.
+            unsafe {
+                self.a.load_chunk(base_ptr, cap, i0, &rel, &mut ar);
+                self.b.load_chunk(base_ptr, cap, i0, &rel, &mut br);
+            }
+            match &self.dispatch {
+                SelDispatch::Uniform(op) => alu_chunk(*op, &ar, asx, &br, bsx, &mut ov),
+                SelDispatch::ShiftMix(codes) => {
+                    for k in 0..LANE_CHUNK {
+                        let a = ar[k];
+                        let d = br[k];
+                        let live = 0u64.wrapping_sub(u64::from(d < 64));
+                        let shl = (a << (d & 63)) & live;
+                        let shr = (a >> (d & 63)) & live;
+                        let sar = (sext(a, asx) >> d.min(63)) as u64;
+                        // Mask-merge the three shifts by code — no
+                        // data-dependent branch and no stack-array
+                        // round-trip per lane.
+                        let c = codes[rel[k]];
+                        let m0 = 0u64.wrapping_sub(u64::from(c == 0));
+                        let m1 = 0u64.wrapping_sub(u64::from(c == 1));
+                        ov[k] = (shl & m0) | (shr & m1) | (sar & !(m0 | m1));
+                    }
+                }
+                SelDispatch::Mixed(ops) => {
+                    for k in 0..LANE_CHUNK {
+                        ov[k] = apply_alu(
+                            ops[rel[k]],
+                            ar[k],
+                            sext(ar[k], asx),
+                            br[k],
+                            sext(br[k], bsx),
+                        );
+                    }
+                }
+            }
+            for (k, (&o, &on)) in ov.iter().zip(keep.iter()).enumerate() {
+                // SAFETY: dst column bounds checked above.
+                unsafe {
+                    let d = base_ptr.add(d0 + i0 + k);
+                    *d = if on { o & mask } else { *d };
+                }
+            }
+            i0 += LANE_CHUNK;
         }
         for i in i0..n {
             let aid = act[i];
@@ -1836,35 +1774,6 @@ struct CompiledStateful {
     output: Option<(u32, u64, SaluOutput)>,
 }
 
-/// How the SoA engine orders Phase C (stateful register updates) within
-/// a batch.
-///
-/// Packet order is the semantic contract; slot-sorted execution groups
-/// updates by register index first — same-slot updates still apply in
-/// original packet order (the grouping pass is stable), so the register
-/// file, every SALU output and every fault are bit-for-bit identical
-/// (pinned by `phase_c_order` property tests and the differential
-/// suites). The payoff is locality: each register slot is loaded and
-/// stored once per group instead of ping-ponging across the batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum PhaseCOrder {
-    /// Let the engine pick per batch (currently: sort when the batch is
-    /// at least [`SLOT_SORT_MIN`] lanes and the array has multiple
-    /// entries).
-    #[default]
-    Auto,
-    /// Always apply in original packet order.
-    PacketOrdered,
-    /// Always group by register slot (stable), whenever a batch has
-    /// more than one live lane.
-    SlotSorted,
-}
-
-/// Smallest uniform batch the [`PhaseCOrder::Auto`] policy slot-sorts:
-/// below this the `O(n log n)` grouping pass costs more than the
-/// locality it buys.
-pub const SLOT_SORT_MIN: usize = 64;
-
 /// A running compiled switch: the lowered program plus register state.
 ///
 /// Compiled from a validated [`SwitchProgram`] by
@@ -1906,39 +1815,11 @@ pub struct CompiledSwitch {
     act_of: Vec<u32>,
     gate_pass: Vec<bool>,
     rowbuf: Vec<u64>,
-    /// Split-key LUT scratch for plans wider than the stack threshold.
-    lutbuf: Vec<u32>,
-    /// Phase C scratch: per-lane register indices (computed once by the
-    /// bounds pre-scan) and the packed `(slot << 32) | lane` sort keys.
-    idxbuf: Vec<u64>,
-    sortbuf: Vec<u64>,
-    /// Whether unpredicated lane sweeps use the explicit SIMD chunk
-    /// kernels (default) or the scalar per-lane loops.
-    simd: bool,
-    /// Phase C ordering policy (see [`PhaseCOrder`]).
-    phase_c: PhaseCOrder,
 }
 
 impl CompiledSwitch {
-    /// Validate a program and lower it, with zeroed registers, at the
-    /// default tuning ([`SPLIT_LUT_BITS_DEFAULT`]).
+    /// Validate a program and lower it, with zeroed registers.
     pub fn compile(program: &SwitchProgram) -> Result<Self, ProgramError> {
-        Self::compile_inner(program, SPLIT_LUT_BITS_DEFAULT)
-    }
-
-    /// [`CompiledSwitch::compile`] with an explicit split-key LUT width
-    /// cap (bits, clamped to [`SPLIT_LUT_MAX_BITS`]): tables whose
-    /// varying key bits fit under the cap dispatch through a per-batch
-    /// action LUT instead of per-lane matching. `0` disables split-key
-    /// dispatch entirely. Semantics are identical at every width.
-    pub fn compile_tuned(
-        program: &SwitchProgram,
-        split_lut_bits: u32,
-    ) -> Result<Self, ProgramError> {
-        Self::compile_inner(program, split_lut_bits.min(SPLIT_LUT_MAX_BITS))
-    }
-
-    fn compile_inner(program: &SwitchProgram, split_lut_bits: u32) -> Result<Self, ProgramError> {
         program.validate()?;
         let mut tables = Vec::new();
         let mut actions = Vec::new();
@@ -2042,7 +1923,7 @@ impl CompiledSwitch {
                 packed.push((f, width, PhvLayout::mask(bits)));
                 width += bits;
             }
-            if width <= split_lut_bits {
+            if width <= SPLIT_LUT_BITS {
                 t.split = Some(SplitKey {
                     stable: stable.into_boxed_slice(),
                     varying: packed.into_boxed_slice(),
@@ -2069,11 +1950,6 @@ impl CompiledSwitch {
             act_of: Vec::new(),
             gate_pass: Vec::new(),
             rowbuf: Vec::new(),
-            lutbuf: Vec::new(),
-            idxbuf: Vec::new(),
-            sortbuf: Vec::new(),
-            simd: true,
-            phase_c: PhaseCOrder::Auto,
         })
     }
 
@@ -2102,30 +1978,6 @@ impl CompiledSwitch {
     /// Compile-time fusion statistics for the lowered op tape.
     pub fn fusion_stats(&self) -> FusionStats {
         self.fusion
-    }
-
-    /// Toggle the explicit SIMD chunk kernels for unpredicated lane
-    /// sweeps (default on). Off, the sweeps use the scalar per-lane
-    /// loops; results are bit-for-bit identical either way — this knob
-    /// exists for differential testing and microbenching, not tuning.
-    pub fn set_simd_kernels(&mut self, on: bool) {
-        self.simd = on;
-    }
-
-    /// Whether the SIMD chunk kernels are enabled.
-    pub fn simd_kernels(&self) -> bool {
-        self.simd
-    }
-
-    /// Set the Phase C (stateful update) ordering policy. Results are
-    /// bit-for-bit identical under every policy; see [`PhaseCOrder`].
-    pub fn set_phase_c_order(&mut self, order: PhaseCOrder) {
-        self.phase_c = order;
-    }
-
-    /// The current Phase C ordering policy.
-    pub fn phase_c_order(&self) -> PhaseCOrder {
-        self.phase_c
     }
 
     /// Whether this program qualifies for table-major SoA batch execution:
@@ -2378,10 +2230,11 @@ impl CompiledSwitch {
     /// indexes out of range stops being live (`limit` shrinks to exclude
     /// it) while earlier packets keep executing the remaining tables, so
     /// when the loop ends every packet before the earliest fault has been
-    /// fully applied — exactly the per-packet contract. Bounds are
-    /// pre-scanned per table before any register write (an index operand
-    /// only reads its own packet's lanes, which phase C never changes for
-    /// other packets), so no write ever needs rolling back.
+    /// fully applied — exactly the per-packet contract. Phase C checks
+    /// each packet's index right before its register write, in packet
+    /// order (an index operand only reads its own packet's lanes, which
+    /// Phase C never changes for other packets), so no write ever needs
+    /// rolling back.
     fn run_lanes_simple(&mut self, lanes: &mut BatchLanes) -> Result<u64, (usize, RuntimeError)> {
         debug_assert!(self.soa_simple);
         let CompiledSwitch {
@@ -2395,14 +2248,8 @@ impl CompiledSwitch {
             act_of,
             gate_pass,
             rowbuf,
-            lutbuf,
-            idxbuf,
-            sortbuf,
-            simd,
-            phase_c,
             ..
         } = self;
-        let (simd, phase_c) = (*simd, *phase_c);
         let (array_meta, regs) = state.parts_mut();
         let (buf, cap, n) = lanes.raw_parts_mut();
         act_of.clear();
@@ -2420,7 +2267,7 @@ impl CompiledSwitch {
             // `Some(a)` means the table already proved the whole batch
             // resolved to action `a` (uniform keys / constant / gated
             // out) and the act_of scan can be skipped.
-            let hint = t.lookup_lanes(buf, cap, limit, act_of, gate_pass, keybuf, rowbuf, lutbuf);
+            let hint = t.lookup_lanes(buf, cap, limit, act_of, gate_pass, keybuf, rowbuf);
             let first = hint.unwrap_or(act_of[0]);
             let uniform = hint.is_some() || act_of[..limit].iter().all(|&a| a == first);
             if uniform && first == MISS {
@@ -2430,23 +2277,18 @@ impl CompiledSwitch {
                 // Phase B: instruction-major — each op sweeps the batch.
                 let action = actions[first as usize];
                 for op in &prims[action.prims.0 as usize..action.prims.1 as usize] {
-                    op.execute_lane(buf, cap, limit, simd);
+                    op.execute_lane(buf, cap, limit);
                 }
-                // Phase C: stateful updates. One action for the whole
-                // batch lets the call/array resolution be hoisted out of
-                // both packet loops. The bounds pre-scan always runs
-                // first, in packet order, so the first out-of-range
+                // Phase C: stateful updates, in packet order. One action
+                // for the whole batch lets the call/array resolution be
+                // hoisted out of the packet loop. The first out-of-range
                 // packet faults and narrows `limit` before anything is
-                // applied for it — the apply *order* below can then vary
-                // freely without touching fault semantics.
+                // applied for it.
                 if action.stateful.0 == action.stateful.1 {
                     continue;
                 }
                 let cs = &stateful[action.stateful.0 as usize];
                 let meta = &array_meta[cs.array as usize];
-                // The pre-scan also caches every live lane's register
-                // index so neither apply order re-evaluates the operand.
-                idxbuf.clear();
                 for i in 0..limit {
                     let idx = cs.index.raw(buf, cap, i) as usize;
                     if idx >= meta.entries {
@@ -2454,37 +2296,7 @@ impl CompiledSwitch {
                         limit = i;
                         break;
                     }
-                    idxbuf.push(idx as u64);
-                }
-                let sorted = match phase_c {
-                    PhaseCOrder::PacketOrdered => false,
-                    PhaseCOrder::SlotSorted => limit > 1,
-                    PhaseCOrder::Auto => limit >= SLOT_SORT_MIN && meta.entries > 1,
-                };
-                if sorted {
-                    // Stable grouping by register slot: the packed key
-                    // orders by slot first and original lane second, so
-                    // an unstable sort *is* stable within a slot group —
-                    // duplicate-slot updates still apply in packet
-                    // order, distinct slots run back to back with their
-                    // register value held hot.
-                    debug_assert!(limit <= u32::MAX as usize && meta.entries <= u32::MAX as usize);
-                    sortbuf.clear();
-                    sortbuf.extend(
-                        idxbuf[..limit]
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &idx)| (idx << 32) | i as u64),
-                    );
-                    sortbuf.sort_unstable();
-                    for &packed in sortbuf.iter() {
-                        let (i, idx) = ((packed & 0xFFFF_FFFF) as usize, (packed >> 32) as usize);
-                        apply_stateful_lane(cs, meta, regs, buf, cap, i, idx);
-                    }
-                } else {
-                    for (i, &idx) in idxbuf[..limit].iter().enumerate() {
-                        apply_stateful_lane(cs, meta, regs, buf, cap, i, idx as usize);
-                    }
+                    apply_stateful_lane(cs, meta, regs, buf, cap, i, idx);
                 }
                 continue;
             }
@@ -2522,7 +2334,7 @@ impl CompiledSwitch {
                     }
                 }
             } else if let Some(sel) = &t.selector {
-                sel.execute_lanes(buf, cap, limit, act_of, simd);
+                sel.execute_lanes(buf, cap, limit, act_of);
             } else {
                 for (i, &a) in act_of.iter().enumerate().take(limit) {
                     if a == MISS {
@@ -2534,19 +2346,10 @@ impl CompiledSwitch {
                     }
                 }
             }
-            // Phase C: stateful, always in packet order (soa_simple
-            // guarantees at most one call per action). Pre-scan bounds
-            // first: the first packet with an out-of-range index faults
-            // and narrows `limit` before anything is applied for it.
-            let table_has_stateful = act_of[..limit].iter().any(|&a| {
-                a != MISS && {
-                    let action = actions[a as usize];
-                    action.stateful.0 != action.stateful.1
-                }
-            });
-            if !table_has_stateful {
-                continue;
-            }
+            // Phase C: stateful, in packet order (soa_simple guarantees at
+            // most one call per action). The first packet with an
+            // out-of-range index faults and narrows `limit` before
+            // anything is applied for it.
             for (i, &a) in act_of.iter().enumerate().take(limit) {
                 if a == MISS {
                     continue;
@@ -2563,18 +2366,6 @@ impl CompiledSwitch {
                     limit = i;
                     break;
                 }
-            }
-            for (i, &a) in act_of.iter().enumerate().take(limit) {
-                if a == MISS {
-                    continue;
-                }
-                let action = actions[a as usize];
-                if action.stateful.0 == action.stateful.1 {
-                    continue;
-                }
-                let cs = &stateful[action.stateful.0 as usize];
-                let meta = &array_meta[cs.array as usize];
-                let idx = cs.index.raw(buf, cap, i) as usize;
                 apply_stateful_lane(cs, meta, regs, buf, cap, i, idx);
             }
         }
@@ -2594,8 +2385,8 @@ pub const SOA_MIN: usize = 16;
 /// The Phase C body for one lane: evaluate the condition against the
 /// stored value, apply the taken update, and write the optional SALU
 /// output into the lane's own column. Every input except `regs[slot]` is
-/// lane-local, which is exactly why the apply order across *distinct*
-/// slots is free (see [`PhaseCOrder`]).
+/// lane-local; callers apply lanes in packet order, so same-slot updates
+/// chain exactly as the per-packet engine chains them.
 #[inline(always)]
 fn apply_stateful_lane(
     cs: &CompiledStateful,

@@ -104,10 +104,7 @@ pub use analysis::{
     prove_shard_safety, verify_program, AnalysisLevel, AnalysisReport, Analyzer, Diagnostic,
     HwProfile, Loc, ProgramIo, Severity, ShardSafetyProof,
 };
-pub use compile::{
-    CompileError, CompiledSwitch, FusionStats, PhaseCOrder, LANE_CHUNK, SLOT_SORT_MIN, SOA_MIN,
-    SPLIT_LUT_BITS_DEFAULT, SPLIT_LUT_MAX_BITS,
-};
+pub use compile::{CompileError, CompiledSwitch, FusionStats, LANE_CHUNK, SOA_MIN};
 pub use phv::{BatchLanes, FieldId, FieldSpec, Phv, PhvLayout};
 pub use register::{
     check_partition, CmpOp, RegArrayId, RegisterArraySpec, RegisterSnapshot, RegisterState,

@@ -43,15 +43,15 @@ use std::sync::mpsc;
 use std::thread::JoinHandle;
 
 use crate::analysis::ShardSafetyProof;
-use crate::compile::{CompiledSwitch, PhaseCOrder};
+use crate::compile::CompiledSwitch;
 use crate::phv::{FieldId, Phv};
 use crate::register::{check_partition, RegArrayId, RegisterState, SlotRange};
 use crate::switch::RuntimeError;
 
-/// Default for [`ShardedSwitch::with_parallel_min`]: below this many
-/// packets a `run_batch` call stays on the calling thread (handing work
-/// to pool workers would cost more than it saves); sharded semantics —
-/// routing, rebasing, per-shard state — are identical either way.
+/// Below this many packets a [`ShardedSwitch::run_batch`] call stays on
+/// the calling thread (handing work to pool workers would cost more than
+/// it saves); sharded semantics — routing, rebasing, per-shard state —
+/// are identical either way.
 pub const DEFAULT_PARALLEL_MIN: usize = 128;
 
 /// Split `0..total` into at most `shards` contiguous, non-empty, balanced
@@ -199,9 +199,6 @@ pub struct ShardedSwitch {
     /// global slot index every packet is routed (and rebased) by.
     slot_field: FieldId,
     total_slots: usize,
-    /// Batches below this size skip bucketing and run sequentially on the
-    /// calling thread ([`Self::with_parallel_min`]).
-    parallel_min: usize,
     /// Worker-thread budget override ([`Self::with_parallelism`]); `None`
     /// means ask the OS (`std::thread::available_parallelism`).
     parallelism: Option<usize>,
@@ -234,7 +231,6 @@ impl Clone for ShardedSwitch {
             ranges: self.ranges.clone(),
             slot_field: self.slot_field,
             total_slots: self.total_slots,
-            parallel_min: self.parallel_min,
             parallelism: self.parallelism,
             pool: None,
             shard_of: Vec::new(),
@@ -291,7 +287,6 @@ impl ShardedSwitch {
             ranges: ranges.into_boxed_slice(),
             slot_field,
             total_slots,
-            parallel_min: DEFAULT_PARALLEL_MIN,
             parallelism: None,
             pool: None,
             shard_of: Vec::new(),
@@ -376,21 +371,6 @@ impl ShardedSwitch {
         );
     }
 
-    /// Set the batch size below which [`Self::run_batch`] stays strictly
-    /// on the calling thread (no bucketing, no workers). Default
-    /// [`DEFAULT_PARALLEL_MIN`]. Semantics are identical either way; this
-    /// only tunes where the hand-off overhead stops paying for itself.
-    #[must_use]
-    pub fn with_parallel_min(mut self, packets: usize) -> Self {
-        self.parallel_min = packets;
-        self
-    }
-
-    /// The current single-thread batch threshold.
-    pub fn parallel_min(&self) -> usize {
-        self.parallel_min
-    }
-
     /// Override the worker-thread budget instead of asking the OS.
     /// `1` forces every bucket to run sequentially on the calling thread
     /// (still through the per-shard batch engine); `>= 2` forces the
@@ -409,23 +389,6 @@ impl ShardedSwitch {
     /// `false` until a batch actually wanted threads).
     pub fn worker_pool_active(&self) -> bool {
         self.pool.is_some()
-    }
-
-    /// Toggle the explicit SIMD chunk kernels on every shard engine (see
-    /// [`CompiledSwitch::set_simd_kernels`]). Bit-for-bit identical
-    /// either way.
-    pub fn set_simd_kernels(&mut self, on: bool) {
-        for s in &mut self.shards {
-            s.set_simd_kernels(on);
-        }
-    }
-
-    /// Set the Phase C ordering policy on every shard engine (see
-    /// [`CompiledSwitch::set_phase_c_order`]).
-    pub fn set_phase_c_order(&mut self, order: PhaseCOrder) {
-        for s in &mut self.shards {
-            s.set_phase_c_order(order);
-        }
     }
 
     fn effective_parallelism(&self) -> usize {
@@ -540,7 +503,7 @@ impl ShardedSwitch {
     /// pool — one long-lived worker per shard beyond the first, each with
     /// exclusive access to its shard engine and bucket; no locks, no
     /// shared mutable state. Small batches (below
-    /// [`Self::with_parallel_min`]) and single-thread budgets stay on the
+    /// [`DEFAULT_PARALLEL_MIN`]) and single-thread budgets stay on the
     /// calling thread with identical semantics. Packets that share a
     /// shard (in particular, packets that share a slot) execute in their
     /// original relative order, so the result is bit-for-bit what a
@@ -584,7 +547,7 @@ impl ShardedSwitch {
                 (slot - self.ranges[s as usize].start) as u64,
             );
         }
-        if phvs.len() < self.parallel_min {
+        if phvs.len() < DEFAULT_PARALLEL_MIN {
             // Sequential fallback: original order, strict first-fault,
             // no bucketing and no workers.
             let mut total = 0u64;
@@ -973,13 +936,12 @@ mod tests {
 
     #[test]
     fn tiny_batches_never_spawn_workers() {
-        // Regression: below `parallel_min` no pool must ever come up,
-        // whatever the claimed thread budget.
+        // Regression: below `DEFAULT_PARALLEL_MIN` no pool must ever come
+        // up, whatever the claimed thread budget.
         let (mut sw, slot, _) = sharded_counter(16, 4);
-        sw = sw.with_parallel_min(64).with_parallelism(8);
-        assert_eq!(sw.parallel_min(), 64);
+        sw = sw.with_parallelism(8);
         for _ in 0..10 {
-            let mut phvs: Vec<Phv> = (0..63)
+            let mut phvs: Vec<Phv> = (0..DEFAULT_PARALLEL_MIN as u64 - 1)
                 .map(|i| {
                     let mut p = sw.shard(0).phv();
                     p.set(slot, i % 16);
@@ -990,7 +952,7 @@ mod tests {
             assert!(!sw.worker_pool_active(), "tiny batch spawned workers");
         }
         // One batch at the threshold flips it on.
-        let mut phvs: Vec<Phv> = (0..64)
+        let mut phvs: Vec<Phv> = (0..DEFAULT_PARALLEL_MIN as u64)
             .map(|i| {
                 let mut p = sw.shard(0).phv();
                 p.set(slot, i % 16);
@@ -1001,7 +963,7 @@ mod tests {
         assert!(sw.worker_pool_active());
         // A single-thread budget never spawns, at any batch size.
         let (mut seq, slot, _) = sharded_counter(16, 4);
-        seq = seq.with_parallelism(1).with_parallel_min(1);
+        seq = seq.with_parallelism(1);
         let mut phvs: Vec<Phv> = (0..500)
             .map(|i| {
                 let mut p = seq.shard(0).phv();
@@ -1022,7 +984,7 @@ mod tests {
         let (program, slot, count) = counter_program(total);
         let mut single = CompiledSwitch::compile(&program).unwrap();
         let (sw, _, _) = sharded_counter(total, 4);
-        let mut sw = sw.with_parallelism(4).with_parallel_min(8);
+        let mut sw = sw.with_parallelism(4);
         let mut rng = SmallRng::seed_from_u64(99);
         for batch in 0..6 {
             let slots: Vec<usize> = (0..300).map(|_| rng.gen_range(0..total)).collect();
@@ -1093,17 +1055,26 @@ mod tests {
     #[test]
     fn worker_panic_poisons_the_switch_and_a_fresh_instance_recovers() {
         let (sw, slot, _) = sharded_counter(8, 2);
-        let mut sw = sw.with_parallelism(2).with_parallel_min(1);
+        let mut sw = sw.with_parallelism(2);
         // A PHV built from a *foreign, smaller* layout: the slot field
         // (id 0) exists, so routing and rebasing succeed, but the shard
         // engine then indexes the missing `count` column and panics —
         // inside a pool worker, because slot 6 belongs to shard 1 and
-        // only shard 0 runs inline.
+        // only shard 0 runs inline. Well-formed shard-0 packets pad the
+        // batch to the size that leaves the calling thread.
         let mut tiny = PhvLayout::new();
         let tiny_slot = tiny.field("slot", 16);
         assert_eq!(tiny_slot, slot);
-        let mut batch = vec![Phv::new(&tiny)];
-        batch[0].set(tiny_slot, 6);
+        let mut batch: Vec<Phv> = (0..DEFAULT_PARALLEL_MIN as u64 - 1)
+            .map(|i| {
+                let mut p = sw.shard(0).phv();
+                p.set(slot, i % 4);
+                p
+            })
+            .collect();
+        let mut foreign = Phv::new(&tiny);
+        foreign.set(tiny_slot, 6);
+        batch.push(foreign);
         let payload = catch_unwind(AssertUnwindSafe(|| {
             let _ = sw.run_batch(&mut batch);
         }))
@@ -1126,7 +1097,7 @@ mod tests {
         assert!(msg.contains("fresh instance"), "got: {msg}");
         // Recovery path: a rebuilt switch is healthy and aggregates.
         let (fresh, fslot, fcount) = sharded_counter(8, 2);
-        let mut fresh = fresh.with_parallelism(2).with_parallel_min(1);
+        let mut fresh = fresh.with_parallelism(2);
         let mut phv = fresh.shard(0).phv();
         phv.set(fslot, 6);
         fresh.run(&mut phv).unwrap();

@@ -6,9 +6,9 @@
 //! faults (RAW violations, out-of-range indices, recirculation limits).
 
 use fpisa_pisa::{
-    Action, AluOp, CmpOp, CompiledSwitch, FieldId, KeyMatch, MatchKind, Operand, PhaseCOrder, Phv,
-    PhvLayout, RegArrayId, RegisterArraySpec, SaluCond, SaluOutput, SaluUpdate, Stage,
-    StatefulCall, Switch, SwitchCaps, SwitchProgram, Table,
+    Action, AluOp, CmpOp, CompiledSwitch, FieldId, KeyMatch, MatchKind, Operand, Phv, PhvLayout,
+    RegArrayId, RegisterArraySpec, SaluCond, SaluOutput, SaluUpdate, Stage, StatefulCall, Switch,
+    SwitchCaps, SwitchProgram, Table,
 };
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -324,12 +324,11 @@ fn compiled_engine_matches_interpreter_on_random_programs() {
 /// whole buffer through `run_batch_soa` (transpose → table-major lane
 /// execution → transpose back, with per-packet fallback for ineligible
 /// programs) must leave PHVs and registers exactly as the interpreter's
-/// packet-at-a-time loop does — including the uniform-key, split-key-LUT
-/// and predicated-group fast paths random programs fall into. Runs once
-/// per (SIMD × Phase C order) knob setting so the chunked lane kernels
-/// and the slot-sorted stateful pass face the same random-program gauntlet
-/// as the scalar packet-ordered baseline.
-fn soa_batches_match_interpreter(knobs: &str, simd: bool, order: PhaseCOrder) {
+/// packet-at-a-time loop does — including the uniform-key, split-key-LUT,
+/// chunked SIMD lane-kernel and predicated-group fast paths random
+/// programs fall into.
+#[test]
+fn soa_batches_match_interpreter_streams() {
     let mut soa_runs = 0usize;
     for seed in 0..32u64 {
         let (program, mut rng) = random_program(0x50A0_0000 + seed);
@@ -338,8 +337,6 @@ fn soa_batches_match_interpreter(knobs: &str, simd: bool, order: PhaseCOrder) {
         }
         let mut sw = Switch::new(program.clone()).unwrap();
         let mut cs = CompiledSwitch::compile(&program).unwrap();
-        cs.set_simd_kernels(simd);
-        cs.set_phase_c_order(order);
         if cs.soa_eligible() {
             soa_runs += 1;
         }
@@ -374,20 +371,20 @@ fn soa_batches_match_interpreter(knobs: &str, simd: bool, order: PhaseCOrder) {
         }
         match (batch_result, interp_err) {
             (Ok(total), None) => {
-                assert_eq!(total, interp_total, "seed {seed} [{knobs}]");
-                assert_eq!(phvs, interp_phvs, "seed {seed} [{knobs}]: PHVs diverged");
+                assert_eq!(total, interp_total, "seed {seed}");
+                assert_eq!(phvs, interp_phvs, "seed {seed}: PHVs diverged");
             }
             (Err(ce), Some(ie)) => {
-                assert_eq!(ce, ie, "seed {seed} [{knobs}]");
+                assert_eq!(ce, ie, "seed {seed}");
                 // Packets before the fault must be fully applied.
                 assert_eq!(
                     phvs[..fault_at],
                     interp_phvs[..fault_at],
-                    "seed {seed} [{knobs}]: pre-fault PHVs diverged"
+                    "seed {seed}: pre-fault PHVs diverged"
                 );
             }
             (got, want) => {
-                panic!("seed {seed} [{knobs}]: SoA batch {got:?} vs interpreter {want:?}")
+                panic!("seed {seed}: SoA batch {got:?} vs interpreter {want:?}")
             }
         }
         for (ai, spec) in program.arrays.iter().enumerate() {
@@ -396,7 +393,7 @@ fn soa_batches_match_interpreter(knobs: &str, simd: bool, order: PhaseCOrder) {
                 assert_eq!(
                     sw.register(id, idx),
                     cs.register(id, idx),
-                    "seed {seed} [{knobs}]: register {}[{idx}] diverged",
+                    "seed {seed}: register {}[{idx}] diverged",
                     spec.name
                 );
             }
@@ -405,32 +402,12 @@ fn soa_batches_match_interpreter(knobs: &str, simd: bool, order: PhaseCOrder) {
     assert!(soa_runs > 0, "no SoA-eligible program generated");
 }
 
-#[test]
-fn soa_batches_match_interpreter_streams() {
-    soa_batches_match_interpreter("simd/auto", true, PhaseCOrder::Auto);
-}
-
-#[test]
-fn soa_batches_scalar_path_matches_interpreter_streams() {
-    soa_batches_match_interpreter("scalar/packet-ordered", false, PhaseCOrder::PacketOrdered);
-}
-
-#[test]
-fn soa_batches_slot_sorted_matches_interpreter_streams() {
-    soa_batches_match_interpreter("simd/slot-sorted", true, PhaseCOrder::SlotSorted);
-}
-
-#[test]
-fn soa_batches_scalar_slot_sorted_matches_interpreter_streams() {
-    soa_batches_match_interpreter("scalar/slot-sorted", false, PhaseCOrder::SlotSorted);
-}
-
 /// Order-sensitive accumulator for the adversarial duplicate-slot tests:
 /// `r[idx] < val ? r[idx] := val : r[idx] += 1`, exporting the OLD
 /// register value into `out`. Any reorder of two same-slot packets
 /// changes either the final register or some packet's exported output,
-/// so bit-for-bit agreement here proves the slot-sorted Phase C pass
-/// preserves packet order within each slot group.
+/// so bit-for-bit agreement here proves the Phase C pass preserves
+/// packet order within each slot.
 fn order_sensitive_program(entries: usize) -> (SwitchProgram, FieldId, FieldId, FieldId) {
     let mut layout = PhvLayout::new();
     let idx = layout.field("idx", 16);
@@ -463,10 +440,9 @@ fn order_sensitive_program(entries: usize) -> (SwitchProgram, FieldId, FieldId, 
     (program, idx, val, out)
 }
 
-/// Run one adversarial batch through the interpreter and through every
-/// (SIMD × Phase C order) knob setting of the SoA engine, demanding
-/// bit-for-bit identical PHVs, registers, and fault behaviour. Returns
-/// the interpreter's error, if any, so callers can assert fault shape.
+/// Run one adversarial batch through the interpreter and through the SoA
+/// engine, demanding bit-for-bit identical PHVs, registers, and fault
+/// behaviour.
 fn check_adversarial_batch(
     pat: &str,
     program: &SwitchProgram,
@@ -497,51 +473,41 @@ fn check_adversarial_batch(
             break;
         }
     }
-    for (knobs, simd, order) in [
-        ("simd/slot-sorted", true, PhaseCOrder::SlotSorted),
-        ("scalar/slot-sorted", false, PhaseCOrder::SlotSorted),
-        ("simd/packet-ordered", true, PhaseCOrder::PacketOrdered),
-        ("simd/auto", true, PhaseCOrder::Auto),
-    ] {
-        let mut cs = CompiledSwitch::compile(program).unwrap();
-        assert!(cs.soa_eligible(), "directed program must take the SoA path");
-        cs.set_simd_kernels(simd);
-        cs.set_phase_c_order(order);
-        let mut phvs = build(&sw);
-        let got = cs.run_batch_soa(&mut phvs);
-        match (&got, &interp_err) {
-            (Ok(_), None) => {
-                assert_eq!(phvs, interp_phvs, "{pat} [{knobs}]: PHVs diverged");
-            }
-            (Err(ce), Some(ie)) => {
-                // The earliest faulting packet must win on every path,
-                // and every packet before it must be fully applied.
-                assert_eq!(ce, ie, "{pat} [{knobs}]: fault diverged");
-                assert_eq!(
-                    phvs[..fault_at],
-                    interp_phvs[..fault_at],
-                    "{pat} [{knobs}]: pre-fault PHVs diverged"
-                );
-            }
-            (got, want) => panic!("{pat} [{knobs}]: batch {got:?} vs interpreter {want:?}"),
+    let mut cs = CompiledSwitch::compile(program).unwrap();
+    assert!(cs.soa_eligible(), "directed program must take the SoA path");
+    let mut phvs = build(&sw);
+    let got = cs.run_batch_soa(&mut phvs);
+    match (&got, &interp_err) {
+        (Ok(_), None) => {
+            assert_eq!(phvs, interp_phvs, "{pat}: PHVs diverged");
         }
-        for slot in 0..program.arrays[0].entries {
+        (Err(ce), Some(ie)) => {
+            // The earliest faulting packet must win, and every packet
+            // before it must be fully applied.
+            assert_eq!(ce, ie, "{pat}: fault diverged");
             assert_eq!(
-                sw.register(RegArrayId(0), slot),
-                cs.register(RegArrayId(0), slot),
-                "{pat} [{knobs}]: register r[{slot}] diverged"
+                phvs[..fault_at],
+                interp_phvs[..fault_at],
+                "{pat}: pre-fault PHVs diverged"
             );
         }
+        (got, want) => panic!("{pat}: batch {got:?} vs interpreter {want:?}"),
+    }
+    for slot in 0..program.arrays[0].entries {
+        assert_eq!(
+            sw.register(RegArrayId(0), slot),
+            cs.register(RegArrayId(0), slot),
+            "{pat}: register r[{slot}] diverged"
+        );
     }
 }
 
-/// Adversarial duplicate-slot batches for the slot-sorted Phase C pass:
-/// all packets hitting one slot, two slots alternating, and random
-/// indices with heavy collisions — each wide enough (256 packets) that
-/// the `Auto` heuristic sorts too, and each checked bit-for-bit against
-/// the packet-ordered path and the interpreter.
+/// Adversarial duplicate-slot batches for the packet-ordered Phase C
+/// pass: all packets hitting one slot, two slots alternating, and random
+/// indices with heavy collisions — each a full 256-packet batch, checked
+/// bit-for-bit against the interpreter.
 #[test]
-fn slot_sorted_phase_c_survives_adversarial_duplicate_slots() {
+fn packet_ordered_phase_c_survives_adversarial_duplicate_slots() {
     let entries = 5usize;
     let (program, idx, val, _out) = order_sensitive_program(entries);
     let mut rng = SmallRng::seed_from_u64(0x51D5_0001);
@@ -555,18 +521,18 @@ fn slot_sorted_phase_c_survives_adversarial_duplicate_slots() {
         ),
     ];
     for (pat, idxs) in &patterns {
-        // Duplicate values too: ties are where unstable ordering leaks.
+        // Duplicate values too: ties are where a reordering would leak.
         let vals: Vec<u64> = idxs.iter().map(|_| rng.gen_range(0..8u64)).collect();
         check_adversarial_batch(pat, &program, idx, val, idxs, &vals);
     }
 }
 
-/// Fault semantics under slot sorting: an out-of-range index mid-batch
-/// must fault exactly as the packet-ordered path does — the earliest
-/// faulting packet's error wins even when a later lane also faults, and
-/// all packets before it land in full.
+/// Fault semantics of the packet-ordered Phase C pass: an out-of-range
+/// index mid-batch must fault exactly as the interpreter does — the
+/// earliest faulting packet's error wins even when a later lane also
+/// faults, and all packets before it land in full.
 #[test]
-fn slot_sorted_phase_c_keeps_earliest_fault_semantics() {
+fn packet_ordered_phase_c_keeps_earliest_fault_semantics() {
     let entries = 5usize;
     let (program, idx, val, _out) = order_sensitive_program(entries);
     let mut rng = SmallRng::seed_from_u64(0x51D5_0002);
