@@ -511,14 +511,11 @@ pub fn run_agg(scale: f64) -> Vec<BenchResult> {
     let big_rounds = ((2.0 * scale) as u64).max(1);
     let host_cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     for shards in [1usize, 2, 4, 8] {
-        // Force the worker budget to the shard count so the curve always
-        // measures the persistent-pool dispatch path it claims to —
-        // without this, a host with fewer cores than shards silently runs
-        // every bucket inline and the curve measures nothing new. On a
-        // 1-core host that forcing means the "parallel" workers time-slice
-        // one core, so the row measures pool dispatch overhead, not
-        // scaling: record it under a `_forcedpool` name so the artifact
-        // can't be mistaken for a real shard curve.
+        // Multi-shard batches always run their buckets on scoped threads,
+        // one per shard beyond the first. On a 1-core host those threads
+        // time-slice one core, so the row measures thread dispatch
+        // overhead, not scaling: record it under a `_forcedpool` name so
+        // the artifact can't be mistaken for a real shard curve.
         let name = if shards > 1 && host_cores == 1 {
             format!("agg/allreduce/fpisa_fp16_shards{shards}_forcedpool")
         } else {
@@ -528,8 +525,7 @@ pub fn run_agg(scale: f64) -> Vec<BenchResult> {
             .format(FpFormat::FP16)
             .slots(big.elements)
             .shards(shards)
-            .shard_align(big.elements_per_packet)
-            .parallelism(shards);
+            .shard_align(big.elements_per_packet);
         bench_allreduce(
             &mut results,
             &name,

@@ -95,9 +95,9 @@ const BATCH_CHUNK: usize = 64;
 /// bigger chunk amortizes the per-table dispatch across more packets.
 const SOA_CHUNK: usize = 256;
 
-/// Packets per batch chunk on the **sharded** engine: buckets are handed
-/// to pool workers per chunk, so the chunk must be big enough to amortize
-/// the hand-off across all shards (8192 packets × ~50 containers × 8 B ≈
+/// Packets per batch chunk on the **sharded** engine: each chunk spawns
+/// one scoped thread per shard beyond the first, so the chunk must be big
+/// enough to amortize the spawn and join across all shards (8192 packets × ~50 containers × 8 B ≈
 /// 3 MiB — cache residency matters less than core utilization here).
 const SHARDED_BATCH_CHUNK: usize = 8192;
 
@@ -217,9 +217,6 @@ impl FpisaPipeline {
                     sharded = sharded
                         .attach_safety_proofs(&proofs)
                         .expect("proofs were produced for these exact shards");
-                }
-                if let Some(threads) = spec.parallelism_override() {
-                    sharded = sharded.with_parallelism(threads);
                 }
                 Engine::Sharded(sharded)
             }

@@ -185,9 +185,6 @@ pub struct PipelineSpec {
     engine: ExecEngine,
     shards: usize,
     shard_align: usize,
-    /// `None` asks the OS (`std::thread::available_parallelism`).
-    #[serde(default)]
-    parallelism: Option<usize>,
     /// Verify-on-compile level: [`AnalysisLevel::Deny`] by default.
     #[serde(default)]
     analysis: AnalysisLevel,
@@ -207,7 +204,6 @@ impl PipelineSpec {
             engine: ExecEngine::Compiled,
             shards: 1,
             shard_align: 1,
-            parallelism: None,
             analysis: AnalysisLevel::default(),
         }
     }
@@ -273,17 +269,6 @@ impl PipelineSpec {
         self
     }
 
-    /// Builder: override the sharded engine's worker-thread budget
-    /// instead of asking the OS. `>= 2` forces the persistent worker pool
-    /// on even where `available_parallelism` reports one core — the knob
-    /// CI smoke runs use to exercise the pool path on single-core hosts.
-    /// Only meaningful with [`PipelineSpec::shards`] `> 1`; semantics are
-    /// identical at any value.
-    pub fn parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = Some(threads);
-        self
-    }
-
     /// Builder: set the verify-on-compile level. The default,
     /// [`AnalysisLevel::Deny`], runs the static analyzer over every
     /// generated program (each shard's program, under sharding) and
@@ -344,11 +329,6 @@ impl PipelineSpec {
     /// The shard-boundary alignment in slots.
     pub fn shard_alignment(&self) -> usize {
         self.shard_align
-    }
-
-    /// The configured worker-thread budget, if overridden.
-    pub fn parallelism_override(&self) -> Option<usize> {
-        self.parallelism
     }
 
     /// The slot ranges the spec's shards own: a balanced, exact,

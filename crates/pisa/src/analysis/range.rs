@@ -32,9 +32,7 @@
 //!   exempt: storing `-1` into a narrow field is the idiomatic
 //!   all-ones mask.
 //! * `const-compare` (info) — a comparison whose outcome is provably
-//!   constant; together with the def-use pass's dead-write findings
-//!   these are the analyzer's fusion candidates, cross-checked against
-//!   [`crate::compile::FusionStats`] in the test suite.
+//!   constant.
 
 use super::{Diagnostic, Loc, Severity};
 use crate::action::{Action, AluOp, Operand};

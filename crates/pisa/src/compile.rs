@@ -58,16 +58,13 @@
 //! action. Everything else — and every scalar entry point — takes the
 //! per-packet path unchanged.
 //!
-//! ## Op-tape fusion
+//! ## Dead-store removal
 //!
 //! Lowering also runs a peephole pass over each action's primitive tape:
-//! adjacent ops writing the same destination fuse into one superinstruction
-//! when the second reads the first's result (the FPISA extract path's
-//! shift-then-mask chains, compare-into-select pairs), and a store
-//! overwritten before anyone reads it is dropped. The intermediate value is
-//! masked to the destination width between the two ops, so results are
-//! bit-for-bit unchanged. [`CompiledSwitch::fusion_stats`] reports
-//! coverage, and the pipeline crate guards a floor on the FPISA ADD tape.
+//! a store overwritten by the very next op before anyone reads it is
+//! dropped. An op's only effect is its destination store, so results are
+//! bit-for-bit unchanged. [`CompiledSwitch::fusion_stats`] reports the
+//! tape before and after.
 
 use crate::action::{AluOp, Operand, Primitive};
 use crate::analysis::{AnalysisLevel, AnalysisReport};
@@ -669,9 +666,9 @@ impl CompiledOperand {
         }
     }
 
-    /// Whether this operand reads PHV field `dst` (the fusion pass's
-    /// data-dependence check; syntactic, which is sound in both
-    /// directions — see [`fuse_action_tape`]).
+    /// Whether this operand reads PHV field `dst` (the dead-store pass's
+    /// data-dependence check; syntactic, which is sound — see
+    /// [`drop_dead_stores`]).
     #[inline]
     fn reads(&self, dst: u32) -> bool {
         matches!(*self, CompiledOperand::Field { idx, .. } if idx == dst)
@@ -730,8 +727,8 @@ fn eval_alu(
 }
 
 /// The same ALU over already-fetched operand values (both views eagerly
-/// available) — the second stage of a fused superinstruction, where the
-/// left or right input is the first stage's intermediate.
+/// available) — the selector sweeps' mixed-op and tail paths, where each
+/// lane gathers its own operands before the op runs.
 #[inline(always)]
 fn apply_alu(op: AluOp, araw: u64, asig: i64, braw: u64, bsig: i64) -> u64 {
     match op {
@@ -974,152 +971,6 @@ impl CompiledPrim {
     }
 }
 
-/// A fused superinstruction: two adjacent same-destination primitives where
-/// the second reads the first's result. The intermediate is masked (and,
-/// where the second op wants it signed, sign-extended) exactly as the
-/// destination container would have held it, so the pair is bit-for-bit the
-/// sequential execution — minus one dispatch and one store per packet.
-#[derive(Debug, Clone, Copy)]
-struct FusedPrim {
-    dst: u32,
-    dst_mask: u64,
-    /// `64 − dst width`: sign-extension shift for the intermediate.
-    sx: u32,
-    op1: AluOp,
-    a: CompiledOperand,
-    b: CompiledOperand,
-    op2: AluOp,
-    /// The second op's *other* operand.
-    c: CompiledOperand,
-    /// Whether the intermediate feeds the second op's left slot.
-    inter_left: bool,
-}
-
-impl FusedPrim {
-    #[inline]
-    fn execute(&self, vals: &mut [u64], stride: usize, lane: usize) {
-        let t = eval_alu(self.op1, &self.a, &self.b, vals, stride, lane) & self.dst_mask;
-        let ts = ((t << self.sx) as i64) >> self.sx;
-        let craw = self.c.raw(vals, stride, lane);
-        let csig = self.c.signed(vals, stride, lane);
-        let out = if self.inter_left {
-            apply_alu(self.op2, t, ts, craw, csig)
-        } else {
-            apply_alu(self.op2, craw, csig, t, ts)
-        };
-        vals[self.dst as usize * stride + lane] = out & self.dst_mask;
-    }
-
-    /// [`FusedPrim::execute`] with a branchless predicated store (see
-    /// [`CompiledPrim::execute_lane_pred`]).
-    #[inline]
-    fn execute_pred(&self, vals: &mut [u64], stride: usize, lane: usize, keep: bool) {
-        let t = eval_alu(self.op1, &self.a, &self.b, vals, stride, lane) & self.dst_mask;
-        let ts = ((t << self.sx) as i64) >> self.sx;
-        let craw = self.c.raw(vals, stride, lane);
-        let csig = self.c.signed(vals, stride, lane);
-        let out = if self.inter_left {
-            apply_alu(self.op2, t, ts, craw, csig)
-        } else {
-            apply_alu(self.op2, craw, csig, t, ts)
-        };
-        let d = self.dst as usize * stride + lane;
-        vals[d] = if keep { out & self.dst_mask } else { vals[d] };
-    }
-
-    /// Explicit SIMD sweep of the fused pair (see
-    /// [`CompiledPrim::execute_lane`]): stage one runs
-    /// [`alu_chunk`] into a masked intermediate chunk, stage two feeds
-    /// that chunk through the second op against the `c` operand's chunk.
-    /// The intermediate's sign-extension shift is the destination's
-    /// (`self.sx`), exactly as the scalar [`FusedPrim::execute`] computes
-    /// `ts`.
-    fn execute_lane(&self, buf: &mut [u64], cap: usize, n: usize) {
-        let d0 = self.dst as usize * cap;
-        debug_assert!(d0 + n <= buf.len());
-        debug_assert!(n <= cap, "lane count {n} exceeds column capacity {cap}");
-        debug_assert!(self.a.column_in_bounds(cap, n, buf.len()));
-        debug_assert!(self.b.column_in_bounds(cap, n, buf.len()));
-        debug_assert!(self.c.column_in_bounds(cap, n, buf.len()));
-        let mask = self.dst_mask;
-        let (asx, bsx, csx) = (self.a.sx_shift(), self.b.sx_shift(), self.c.sx_shift());
-        let base = buf.as_mut_ptr();
-        let mut ar: Chunk = [0; LANE_CHUNK];
-        let mut br: Chunk = [0; LANE_CHUNK];
-        let mut cr: Chunk = [0; LANE_CHUNK];
-        let mut tv: Chunk = [0; LANE_CHUNK];
-        let mut ov: Chunk = [0; LANE_CHUNK];
-        let mut i0 = 0;
-        while i0 + LANE_CHUNK <= n {
-            // SAFETY: as in `CompiledPrim::execute_lane` — all
-            // chunk loads precede the store for every lane of the chunk.
-            unsafe {
-                self.a.load_chunk(base, cap, i0, &mut ar);
-                self.b.load_chunk(base, cap, i0, &mut br);
-                self.c.load_chunk(base, cap, i0, &mut cr);
-                alu_chunk(self.op1, &ar, asx, &br, bsx, &mut tv);
-                for t in tv.iter_mut() {
-                    *t &= mask;
-                }
-                if self.inter_left {
-                    alu_chunk(self.op2, &tv, self.sx, &cr, csx, &mut ov);
-                } else {
-                    alu_chunk(self.op2, &cr, csx, &tv, self.sx, &mut ov);
-                }
-                let d = base.add(d0 + i0);
-                for (k, &o) in ov.iter().enumerate() {
-                    *d.add(k) = o & mask;
-                }
-            }
-            i0 += LANE_CHUNK;
-        }
-        for i in i0..n {
-            self.execute(buf, cap, i);
-        }
-    }
-}
-
-/// One entry of the (fused) op tape.
-#[derive(Debug, Clone, Copy)]
-enum TapeOp {
-    Prim(CompiledPrim),
-    Fused2(FusedPrim),
-}
-
-impl TapeOp {
-    #[inline]
-    fn execute(&self, vals: &mut [u64], stride: usize, lane: usize) {
-        match self {
-            TapeOp::Prim(p) => p.execute(vals, stride, lane),
-            TapeOp::Fused2(f) => f.execute(vals, stride, lane),
-        }
-    }
-
-    /// Unpredicated instruction-major execution through the explicit
-    /// chunk kernels.
-    #[inline]
-    fn execute_lane(&self, buf: &mut [u64], cap: usize, n: usize) {
-        match self {
-            TapeOp::Prim(p) => p.execute_lane(buf, cap, n),
-            TapeOp::Fused2(f) => f.execute_lane(buf, cap, n),
-        }
-    }
-
-    /// Predicated instruction-major execution: lanes whose resolved
-    /// action is not `sel` keep their value (branchless select stores).
-    #[inline]
-    fn execute_lane_pred(&self, buf: &mut [u64], cap: usize, n: usize, act: &[u32], sel: u32) {
-        match self {
-            TapeOp::Prim(p) => p.execute_lane_pred(buf, cap, n, act, sel),
-            TapeOp::Fused2(f) => {
-                for (i, &a) in act.iter().enumerate().take(n) {
-                    f.execute_pred(buf, cap, i, a == sel);
-                }
-            }
-        }
-    }
-}
-
 /// Selected-constant dispatch for a divergent table whose actions all run
 /// the *same* op skeleton. The canonical case is a shift table — dozens
 /// of actions `dst = src << k` / `dst = src >> k`, one per alignment
@@ -1127,7 +978,7 @@ impl TapeOp {
 /// actions and the grouped predicated sweep degenerates (one full-batch
 /// sweep *per action*) or collapses to per-packet tape walks. When every
 /// non-empty action tape in a table is the same-length sequence of
-/// *unfused* primitives with matching destination and mask at each
+/// primitives with matching destination and mask at each
 /// position, and each operand position is either one shared operand or a
 /// per-action `Const`, Phase B needs exactly one sweep per template
 /// position: each lane *gathers its own op and constants* from per-action
@@ -1433,7 +1284,7 @@ impl SelOperandAcc {
 
 /// Detect the selected-constant shape over one table's actions (see
 /// [`SelectorTape`]): every non-empty action tape must be the same-length
-/// sequence of *unfused* primitives with matching destination and mask at
+/// sequence of primitives with matching destination and mask at
 /// each position; each position's op may vary per action, and each
 /// operand must be one shared operand or a per-action `Const`. Requires
 /// at least two actions running the template (a lone shape is the uniform
@@ -1441,7 +1292,7 @@ impl SelOperandAcc {
 fn build_selector(
     base: u32,
     table_actions: &[CompiledAction],
-    prims: &[TapeOp],
+    prims: &[CompiledPrim],
 ) -> Option<SelectorTape> {
     let n = table_actions.len();
     if n < 2 {
@@ -1459,18 +1310,9 @@ fn build_selector(
         if tape.is_empty() {
             continue;
         }
-        let mut aps: Vec<CompiledPrim> = Vec::with_capacity(tape.len());
-        for op in tape {
-            match op {
-                TapeOp::Prim(p) => aps.push(*p),
-                // Fused shapes never arise from the single-op tables this
-                // targets; matching them would complicate for no gain.
-                TapeOp::Fused2(_) => return None,
-            }
-        }
         if first {
             first = false;
-            for p in &aps {
+            for p in tape {
                 dsts.push((p.dst, p.dst_mask));
                 let mut v = vec![AluOp::Set; n];
                 v[ai] = p.op;
@@ -1479,10 +1321,10 @@ fn build_selector(
                 accs_b.push(SelOperandAcc::new(n, ai, p.b));
             }
         } else {
-            if aps.len() != dsts.len() {
+            if tape.len() != dsts.len() {
                 return None;
             }
-            for (j, p) in aps.iter().enumerate() {
+            for (j, p) in tape.iter().enumerate() {
                 if (p.dst, p.dst_mask) != dsts[j] {
                     return None;
                 }
@@ -1544,16 +1386,14 @@ fn build_selector(
     })
 }
 
-/// Compile-time fusion statistics, reported by
+/// Compile-time op-tape statistics, reported by
 /// [`CompiledSwitch::fusion_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusionStats {
-    /// Primitive count before fusion (as authored, post-lowering).
+    /// Primitive count as authored, post-lowering.
     pub original_ops: usize,
-    /// Tape entries after fusion (each fused pair counts once).
+    /// Tape entries after dead-store removal.
     pub tape_ops: usize,
-    /// Fused superinstructions emitted.
-    pub fused_pairs: usize,
     /// Stores dropped because the next op overwrote them unread.
     pub dead_stores: usize,
     /// Tables compiled to selected-constant dispatch (same op shape
@@ -1563,70 +1403,26 @@ pub struct FusionStats {
     pub selector_tables: usize,
 }
 
-impl FusionStats {
-    /// Fraction of original ops eliminated by fusion and dead-store
-    /// removal: `1 − tape_ops / original_ops` (0.0 for an empty tape).
-    pub fn coverage(&self) -> f64 {
-        if self.original_ops == 0 {
-            0.0
-        } else {
-            1.0 - self.tape_ops as f64 / self.original_ops as f64
-        }
-    }
-}
-
-/// The peephole fusion pass, run per action at compile time.
-///
-/// Two rewrites, both semantics-preserving because an op's only effect is
-/// its destination store and the pair is adjacent within one action (so the
-/// intermediate value is unobservable — no table lookup, stateful call, or
-/// other op can see it):
-///
-/// * `dst = f(..); dst = g(.., dst, ..)` → one [`FusedPrim`];
-/// * `dst = f(..); dst = g(..)` where `g` does not read `dst` → drop the
-///   first op (dead store).
+/// The dead-store peephole, run per action at compile time: in
+/// `dst = f(..); dst = g(..)` where `g` does not read `dst`, the first op
+/// is dropped. Semantics-preserving because an op's only effect is its
+/// destination store and the pair is adjacent within one action, so no
+/// table lookup, stateful call, or other op can see the dropped value.
 ///
 /// The dependence check is syntactic. That stays sound for ops that ignore
-/// an operand (e.g. `Set` never reads its right input): the fused second
-/// stage evaluates exactly the ops the sequential pair would have, so an
-/// operand the ALU ignores is ignored either way.
-fn fuse_action_tape(prims: &[CompiledPrim], tape: &mut Vec<TapeOp>, stats: &mut FusionStats) {
+/// an operand (e.g. `Set` never reads its right input): treating such an
+/// operand as a read only keeps a store that could have gone.
+fn drop_dead_stores(prims: &[CompiledPrim], tape: &mut Vec<CompiledPrim>, stats: &mut FusionStats) {
     stats.original_ops += prims.len();
-    let mut i = 0;
-    while i < prims.len() {
-        let p = prims[i];
-        if let Some(&q) = prims.get(i + 1) {
-            if q.dst == p.dst {
-                let ar = q.a.reads(p.dst);
-                let br = q.b.reads(p.dst);
-                if !ar && !br {
-                    // q overwrites p's store before anything reads it.
-                    stats.dead_stores += 1;
-                    i += 1;
-                    continue;
-                }
-                if ar != br {
-                    tape.push(TapeOp::Fused2(FusedPrim {
-                        dst: p.dst,
-                        dst_mask: p.dst_mask,
-                        sx: p.dst_mask.leading_zeros(),
-                        op1: p.op,
-                        a: p.a,
-                        b: p.b,
-                        op2: q.op,
-                        c: if ar { q.b } else { q.a },
-                        inter_left: ar,
-                    }));
-                    stats.fused_pairs += 1;
-                    i += 2;
-                    continue;
-                }
-                // Both operands read dst: representable only with a wider
-                // superinstruction; leave the pair as-is.
-            }
+    for (i, &p) in prims.iter().enumerate() {
+        let dead = prims
+            .get(i + 1)
+            .is_some_and(|q| q.dst == p.dst && !q.a.reads(p.dst) && !q.b.reads(p.dst));
+        if dead {
+            stats.dead_stores += 1;
+        } else {
+            tape.push(p);
         }
-        tape.push(TapeOp::Prim(p));
-        i += 1;
     }
 }
 
@@ -1790,8 +1586,8 @@ pub struct CompiledSwitch {
     /// Tables flattened across stages, in execution order.
     tables: Box<[CompiledTable]>,
     actions: Box<[CompiledAction]>,
-    /// The contiguous (fused) primitive op tape.
-    prims: Box<[TapeOp]>,
+    /// The contiguous primitive op tape.
+    prims: Box<[CompiledPrim]>,
     /// The contiguous stateful op tape.
     stateful: Box<[CompiledStateful]>,
     /// The flat register file behind the slot-range-partitionable
@@ -1806,7 +1602,7 @@ pub struct CompiledSwitch {
     /// packet-major execution for this program (see
     /// [`CompiledSwitch::soa_eligible`]).
     soa_simple: bool,
-    /// Fusion coverage of the lowered tape.
+    /// Op-tape statistics of the lowered program.
     fusion: FusionStats,
     /// SoA scratch, reused across batches: the lane buffer, the per-packet
     /// resolved action, the batch gate flags, and the per-packet fallback
@@ -1823,7 +1619,7 @@ impl CompiledSwitch {
         program.validate()?;
         let mut tables = Vec::new();
         let mut actions = Vec::new();
-        let mut prims: Vec<TapeOp> = Vec::new();
+        let mut prims: Vec<CompiledPrim> = Vec::new();
         let mut stateful = Vec::new();
         let mut fusion = FusionStats::default();
         let mut action_prims: Vec<CompiledPrim> = Vec::new();
@@ -1848,7 +1644,7 @@ impl CompiledSwitch {
                             .iter()
                             .map(|p| lower_prim(p, &program.layout)),
                     );
-                    fuse_action_tape(&action_prims, &mut prims, &mut fusion);
+                    drop_dead_stores(&action_prims, &mut prims, &mut fusion);
                     let s0 = stateful.len() as u32;
                     if action.stateful.len() > 1 {
                         soa_simple = false;
@@ -1975,7 +1771,7 @@ impl CompiledSwitch {
         Self::compile(program).map_err(CompileError::Program)
     }
 
-    /// Compile-time fusion statistics for the lowered op tape.
+    /// Compile-time statistics for the lowered op tape.
     pub fn fusion_stats(&self) -> FusionStats {
         self.fusion
     }
@@ -3232,8 +3028,9 @@ mod tests {
         let v = l.field("v", 32);
         let e = l.field("e", 8);
         let x = l.field("x", 8);
-        // The FPISA extract idiom: e = (v >> 10) & 0x1F — must fuse into
-        // one superinstruction. x = 1 then x = 5 — the first store is dead.
+        // The FPISA extract idiom: e = (v >> 10) & 0x1F — the second op
+        // reads the first's store, so both stay. x = 1 then x = 5 — the
+        // first store is dead.
         let a = Action::nop("extract")
             .prim(e, AluOp::ShrLogic, Operand::Field(v), Operand::Const(10))
             .prim(e, AluOp::And, Operand::Field(e), Operand::Const(0x1F))
@@ -3249,11 +3046,9 @@ mod tests {
         let cs = CompiledSwitch::compile(&program).unwrap();
         let stats = cs.fusion_stats();
         assert_eq!(stats.original_ops, 4);
-        assert_eq!(stats.fused_pairs, 1);
         assert_eq!(stats.dead_stores, 1);
-        assert_eq!(stats.tape_ops, 2);
-        assert!(stats.coverage() > 0.4);
-        // And the fused tape is still bit-for-bit the interpreter.
+        assert_eq!(stats.tape_ops, 3);
+        // And the shortened tape is still bit-for-bit the interpreter.
         for vv in [0u64, 0xFFFF_FFFF, 0x0003_FC00, 0xDEAD_BEEF] {
             let p = run_both(&program, |p| p.set(v, vv));
             assert_eq!(p.get(e), (vv >> 10) & 0x1F);
@@ -3262,13 +3057,13 @@ mod tests {
     }
 
     #[test]
-    fn fused_signed_intermediate_sign_extends_like_the_container() {
+    fn signed_intermediate_sign_extends_like_the_container() {
         let mut l = PhvLayout::new();
         let v = l.field("v", 8);
         let d = l.field("d", 8);
         // d = v - 1; d = d >> 1 (arithmetic): the intermediate must be
-        // sign-extended from the 8-bit container, exactly as a store/load
-        // pair would behave.
+        // sign-extended from the 8-bit container, exactly as the
+        // interpreter's store/load pair behaves.
         let a = Action::nop("chain")
             .prim(d, AluOp::Sub, Operand::Field(v), Operand::Const(1))
             .prim(d, AluOp::ShrArith, Operand::Field(d), Operand::Const(1));
@@ -3279,8 +3074,6 @@ mod tests {
             arrays: vec![],
             recirc_field: None,
         };
-        let cs = CompiledSwitch::compile(&program).unwrap();
-        assert_eq!(cs.fusion_stats().fused_pairs, 1);
         for vv in 0..=255u64 {
             run_both(&program, |p| p.set(v, vv));
         }

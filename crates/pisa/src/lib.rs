@@ -47,9 +47,9 @@
 //!   scans for ternary/range entries, contiguous op tapes for actions —
 //!   and processes packets (or whole batches via
 //!   [`compile::CompiledSwitch::run_batch`]) with zero per-packet
-//!   allocation, several times faster. At compile time adjacent tape ops
-//!   are **peephole-fused** into superinstructions
-//!   ([`compile::FusionStats`] reports coverage), and programs meeting a
+//!   allocation, several times faster. At compile time a store the next
+//!   op overwrites unread is dropped ([`compile::FusionStats`] reports
+//!   the tape before and after), and programs meeting a
 //!   static eligibility test additionally get **data-oriented batch
 //!   execution**: the batch is transposed into a structure-of-arrays
 //!   [`phv::BatchLanes`] buffer (one flat column per PHV field) and each
@@ -70,8 +70,8 @@
 //! ([`shard::partition_slots`], optionally chunk-aligned), each owned by
 //! one compiled shard, packets are routed by a caller-supplied slot
 //! field and rebased to shard-local indices, and
-//! [`shard::ShardedSwitch::run_batch`] fans a packet buffer out across a
-//! persistent channel-fed worker pool with zero cross-shard locking —
+//! [`shard::ShardedSwitch::run_batch`] fans a packet buffer out across
+//! scoped shard threads with zero cross-shard locking —
 //! still bit-for-bit identical to a single full-space engine, because
 //! routing preserves the per-slot packet order.
 //!

@@ -21,16 +21,13 @@
 //!   slot, and the field is rebased to the shard-local index on the way
 //!   in;
 //! * [`ShardedSwitch::run_batch`] partitions a packet buffer by shard and
-//!   feeds the buckets to a **persistent worker pool** — long-lived
-//!   worker threads created once on the first large batch and fed over
-//!   channels, with **zero cross-shard locking**: each worker owns its
-//!   shard's `&mut CompiledSwitch` and its own packet bucket for the
-//!   duration of the batch, so there is nothing to contend on. (Earlier
-//!   revisions spawned a fresh `std::thread::scope` per batch; at the
-//!   8192-packet batches the pipeline feeds, thread spawn/join overhead
-//!   inverted the shard scaling curve.) Each bucket runs through
-//!   [`CompiledSwitch::run_batch`], so eligible programs get the SoA
-//!   engine per shard.
+//!   runs the buckets on **scoped threads** ([`std::thread::scope`]), one
+//!   per shard beyond the first, with shard 0 on the calling thread and
+//!   **zero cross-shard locking**: each thread borrows its shard's
+//!   `&mut CompiledSwitch` and its own packet bucket for the duration of
+//!   the batch, so there is nothing to contend on and no `unsafe`. Each
+//!   bucket runs through [`CompiledSwitch::run_batch`], so eligible
+//!   programs get the SoA engine per shard.
 //!
 //! Because routing preserves the relative order of packets that share a
 //! slot (indeed, of packets that share a *shard*), the register state and
@@ -38,20 +35,16 @@
 //! sequence through a single full-space engine — the invariant the
 //! pipeline differential suite enforces for every sharded configuration.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::thread::JoinHandle;
-
 use crate::analysis::ShardSafetyProof;
 use crate::compile::CompiledSwitch;
 use crate::phv::{FieldId, Phv};
 use crate::register::{check_partition, RegArrayId, RegisterState, SlotRange};
 use crate::switch::RuntimeError;
 
-/// Below this many packets a [`ShardedSwitch::run_batch`] call stays on
-/// the calling thread (handing work to pool workers would cost more than
-/// it saves); sharded semantics — routing, rebasing, per-shard state —
-/// are identical either way.
+/// Below this many packets a multi-shard [`ShardedSwitch::run_batch`]
+/// call runs packet by packet on the calling thread (spawning scoped
+/// shard threads would cost more than it saves); sharded semantics —
+/// routing, rebasing, per-shard state — are identical either way.
 pub const DEFAULT_PARALLEL_MIN: usize = 128;
 
 /// Split `0..total` into at most `shards` contiguous, non-empty, balanced
@@ -84,114 +77,12 @@ pub fn partition_slots_aligned(total: usize, shards: usize, align: usize) -> Vec
     out
 }
 
-/// Run one shard's bucket through the batch engine (SoA when the program
-/// qualifies). The error index is the packet's position *within the
-/// bucket*.
-fn run_bucket(
-    shard: &mut CompiledSwitch,
-    bucket: &mut [Phv],
-) -> Result<u64, (usize, RuntimeError)> {
-    shard.run_batch_indexed(bucket)
-}
-
-/// One bucket's outcome: total pass count, or the first fault as
-/// (position within the bucket, error).
-type BucketResult = Result<u64, (usize, RuntimeError)>;
-
-/// One unit of pool work: a shard engine plus the packet bucket routed to
-/// it for the current batch.
-///
-/// Raw pointers rather than references because the job travels through a
-/// `'static` channel while being used strictly *inside* one `run_batch`
-/// call: `run_batch` never returns (or unwinds) before every dispatched
-/// job's completion has been received, and each job points at a distinct
-/// shard and a distinct bucket, so the worker holds the only live access.
-struct ShardJob {
-    shard_idx: usize,
-    shard: *mut CompiledSwitch,
-    bucket: *mut Phv,
-    len: usize,
-}
-
-// SAFETY: see [`ShardJob`] — exclusive disjoint access, bounded by the
-// dispatch/drain window inside a single `run_batch` call.
-unsafe impl Send for ShardJob {}
-
-enum Done {
-    Finished(usize, Result<u64, (usize, RuntimeError)>),
-    Panicked,
-}
-
-fn worker_loop(jobs: mpsc::Receiver<ShardJob>, done: mpsc::Sender<Done>) {
-    while let Ok(job) = jobs.recv() {
-        let res = catch_unwind(AssertUnwindSafe(|| {
-            // SAFETY: `run_batch` guarantees exclusive in-bounds access
-            // for the duration of the job (see `ShardJob`).
-            let shard = unsafe { &mut *job.shard };
-            let bucket = unsafe { std::slice::from_raw_parts_mut(job.bucket, job.len) };
-            run_bucket(shard, bucket)
-        }));
-        let msg = match res {
-            Ok(r) => Done::Finished(job.shard_idx, r),
-            // A completion is sent even on panic so the dispatcher's
-            // drain loop can never deadlock; it re-raises after draining.
-            Err(_) => Done::Panicked,
-        };
-        if done.send(msg).is_err() {
-            break;
-        }
-    }
-}
-
-/// Long-lived shard workers, created once and fed one bucket per batch
-/// over per-worker channels. Worker `i` serves shard `i + 1` (shard 0
-/// always runs inline on the dispatching thread). Dropping the pool
-/// closes the job channels, which ends each worker's `recv` loop.
-struct WorkerPool {
-    job_tx: Vec<mpsc::Sender<ShardJob>>,
-    done_rx: mpsc::Receiver<Done>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn spawn(workers: usize) -> Self {
-        let (done_tx, done_rx) = mpsc::channel();
-        let mut job_tx = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = mpsc::channel::<ShardJob>();
-            let done = done_tx.clone();
-            handles.push(std::thread::spawn(move || worker_loop(rx, done)));
-            job_tx.push(tx);
-        }
-        WorkerPool {
-            job_tx,
-            done_rx,
-            handles,
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.job_tx.clear();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.handles.len())
-            .finish()
-    }
-}
-
 /// N compiled shards behind one switch interface, each owning a slot
 /// range. See the [module docs](self) for the execution model.
-#[derive(Debug)]
+///
+/// A clone carries the poison flag with the (possibly inconsistent)
+/// register state; recovery means building a fresh instance.
+#[derive(Debug, Clone)]
 pub struct ShardedSwitch {
     shards: Vec<CompiledSwitch>,
     ranges: Box<[SlotRange]>,
@@ -199,12 +90,6 @@ pub struct ShardedSwitch {
     /// global slot index every packet is routed (and rebased) by.
     slot_field: FieldId,
     total_slots: usize,
-    /// Worker-thread budget override ([`Self::with_parallelism`]); `None`
-    /// means ask the OS (`std::thread::available_parallelism`).
-    parallelism: Option<usize>,
-    /// Lazily spawned persistent workers; stays `None` until the first
-    /// batch that actually wants threads.
-    pool: Option<WorkerPool>,
     /// Scratch: shard index per packet of the current batch.
     shard_of: Vec<u32>,
     /// Scratch: per-shard packet buckets (packets are *moved*, not
@@ -214,34 +99,11 @@ pub struct ShardedSwitch {
     cursors: Vec<usize>,
     /// Set when a shard panicked mid-batch: register and scratch state
     /// may be inconsistent, so further traffic is refused loudly
-    /// instead of computing garbage (or hanging on a half-drained
-    /// pool).
+    /// instead of computing garbage.
     poisoned: bool,
     /// Whether a shard-safety proof covers every shard (see
     /// [`Self::attach_safety_proofs`]).
     safety_proven: bool,
-}
-
-impl Clone for ShardedSwitch {
-    fn clone(&self) -> Self {
-        // Worker threads are per-instance; the clone spawns its own on
-        // first demand.
-        ShardedSwitch {
-            shards: self.shards.clone(),
-            ranges: self.ranges.clone(),
-            slot_field: self.slot_field,
-            total_slots: self.total_slots,
-            parallelism: self.parallelism,
-            pool: None,
-            shard_of: Vec::new(),
-            buckets: (0..self.shards.len()).map(|_| Vec::new()).collect(),
-            cursors: vec![0; self.shards.len()],
-            // Poison travels with the (possibly inconsistent) register
-            // state; recovery means building a fresh instance.
-            poisoned: self.poisoned,
-            safety_proven: self.safety_proven,
-        }
-    }
 }
 
 impl ShardedSwitch {
@@ -287,8 +149,6 @@ impl ShardedSwitch {
             ranges: ranges.into_boxed_slice(),
             slot_field,
             total_slots,
-            parallelism: None,
-            pool: None,
             shard_of: Vec::new(),
             buckets: (0..n).map(|_| Vec::new()).collect(),
             cursors: vec![0; n],
@@ -369,34 +229,6 @@ impl ShardedSwitch {
             !(self.safety_proven && matches!(e, RuntimeError::IndexOutOfRange { .. })),
             "shard-safety proof violated: a proven shard raised {e:?}"
         );
-    }
-
-    /// Override the worker-thread budget instead of asking the OS.
-    /// `1` forces every bucket to run sequentially on the calling thread
-    /// (still through the per-shard batch engine); `>= 2` forces the
-    /// persistent pool on even where `available_parallelism` reports a
-    /// single core — useful for exercising the pool under test.
-    #[must_use]
-    pub fn with_parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = Some(threads.max(1));
-        // A budget change flips the pool decision; drop any existing
-        // workers so the next batch re-evaluates.
-        self.pool = None;
-        self
-    }
-
-    /// Whether the persistent worker pool has been spawned (it is lazy:
-    /// `false` until a batch actually wanted threads).
-    pub fn worker_pool_active(&self) -> bool {
-        self.pool.is_some()
-    }
-
-    fn effective_parallelism(&self) -> usize {
-        self.parallelism.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
     }
 
     /// Number of shards.
@@ -499,12 +331,11 @@ impl ShardedSwitch {
     /// pass count.
     ///
     /// Every packet's slot is validated **before any packet runs**. Large
-    /// batches are partitioned per shard and fed to the persistent worker
-    /// pool — one long-lived worker per shard beyond the first, each with
-    /// exclusive access to its shard engine and bucket; no locks, no
-    /// shared mutable state. Small batches (below
-    /// [`DEFAULT_PARALLEL_MIN`]) and single-thread budgets stay on the
-    /// calling thread with identical semantics. Packets that share a
+    /// batches are partitioned per shard and run on scoped threads — one
+    /// per shard beyond the first, each with exclusive access to its
+    /// shard engine and bucket; no locks, no shared mutable state. Small
+    /// batches (below [`DEFAULT_PARALLEL_MIN`]) run packet by packet on
+    /// the calling thread with identical semantics. Packets that share a
     /// shard (in particular, packets that share a slot) execute in their
     /// original relative order, so the result is bit-for-bit what a
     /// single full-space engine produces for the same sequence.
@@ -513,6 +344,12 @@ impl ShardedSwitch {
     /// earliest in the buffer; its shard stops there, but other shards
     /// may have completed their packets (unlike the strictly sequential
     /// single-engine batch).
+    ///
+    /// # Panics
+    ///
+    /// If a shard panics mid-batch the switch is poisoned (see
+    /// [`Self::poisoned`]) and the panic propagates; a panic on a shard
+    /// thread surfaces as "shard worker panicked".
     pub fn run_batch(&mut self, phvs: &mut [Phv]) -> Result<u64, RuntimeError> {
         self.assert_unpoisoned();
         // Single-shard fast path: one range starting at 0, so routing
@@ -549,7 +386,7 @@ impl ShardedSwitch {
         }
         if phvs.len() < DEFAULT_PARALLEL_MIN {
             // Sequential fallback: original order, strict first-fault,
-            // no bucketing and no workers.
+            // no bucketing and no threads.
             let mut total = 0u64;
             for (phv, &s) in phvs.iter_mut().zip(&self.shard_of) {
                 match self.shards[s as usize].run(phv) {
@@ -571,84 +408,40 @@ impl ShardedSwitch {
             self.buckets[s as usize].push(std::mem::take(phv));
         }
 
-        // Tagged with the shard index so faults can be mapped back to
-        // buffer positions.
-        let mut results: Vec<(usize, BucketResult)> = Vec::with_capacity(self.shards.len());
-
-        if self.effective_parallelism() <= 1 {
-            // One hardware thread: run every bucket inline, in shard
-            // order. Still bucketed — each bucket goes through the batch
-            // engine, so SoA execution applies per shard.
-            for (s, (shard, bucket)) in self
-                .shards
-                .iter_mut()
-                .zip(self.buckets.iter_mut())
+        // Buckets 1.. run on scoped threads while bucket 0 runs here. The
+        // switch counts as poisoned until every shard has returned
+        // normally, so a panic on either side leaves it refusing traffic.
+        // Each result is the bucket's pass count or its first fault at a
+        // bucket position, tagged with the shard index so faults can be
+        // mapped back to buffer positions.
+        self.poisoned = true;
+        let results = std::thread::scope(|scope| {
+            let mut lanes = self.shards.iter_mut().zip(self.buckets.iter_mut());
+            let (shard0, bucket0) = lanes.next().expect("a multi-shard switch");
+            let handles: Vec<_> = lanes
                 .enumerate()
-            {
-                if !bucket.is_empty() {
-                    results.push((s, run_bucket(shard, bucket)));
-                }
+                .filter(|(_, (_, bucket))| !bucket.is_empty())
+                .map(|(i, (shard, bucket))| {
+                    (i + 1, scope.spawn(move || shard.run_batch_indexed(bucket)))
+                })
+                .collect();
+            let mut results = Vec::with_capacity(handles.len() + 1);
+            if !bucket0.is_empty() {
+                results.push((0, shard0.run_batch_indexed(bucket0)));
             }
-        } else {
-            // Dispatch buckets 1.. to the persistent pool; run bucket 0
-            // inline while the workers chew. Both sides derive their
-            // access from raw base pointers so no Rust reference into
-            // `shards`/`buckets` is live during the window.
-            if self.pool.is_none() {
-                self.pool = Some(WorkerPool::spawn(self.shards.len() - 1));
-            }
-            let pool = self.pool.as_ref().expect("just spawned");
-            let shards_ptr = self.shards.as_mut_ptr();
-            let buckets_ptr = self.buckets.as_mut_ptr();
-            let mut dispatched = 0usize;
-            for s in 1..self.shards.len() {
-                // SAFETY: `s` is in bounds; the bucket reference is
-                // transient (dropped before the worker touches the job).
-                let bucket = unsafe { &mut *buckets_ptr.add(s) };
-                if bucket.is_empty() {
-                    continue;
-                }
-                let job = ShardJob {
-                    shard_idx: s,
-                    // SAFETY: in-bounds; each shard index is dispatched
-                    // at most once, so jobs never alias.
-                    shard: unsafe { shards_ptr.add(s) },
-                    bucket: bucket.as_mut_ptr(),
-                    len: bucket.len(),
-                };
-                pool.job_tx[s - 1].send(job).expect("pool worker alive");
-                dispatched += 1;
-            }
-            // SAFETY: shard/bucket 0 are never dispatched to a worker.
-            let inline = {
-                let shard0 = unsafe { &mut *shards_ptr };
-                let bucket0 = unsafe { &mut *buckets_ptr };
-                (!bucket0.is_empty())
-                    .then(|| catch_unwind(AssertUnwindSafe(|| run_bucket(shard0, bucket0))))
-            };
-            // Drain every dispatched completion BEFORE propagating any
-            // inline panic: no job may outlive this call's borrow of the
-            // shards and buckets.
             let mut worker_panicked = false;
-            for _ in 0..dispatched {
-                match pool.done_rx.recv().expect("pool worker alive") {
-                    Done::Finished(s, res) => results.push((s, res)),
-                    Done::Panicked => worker_panicked = true,
+            for (s, handle) in handles {
+                match handle.join() {
+                    Ok(res) => results.push((s, res)),
+                    Err(_) => worker_panicked = true,
                 }
-            }
-            match inline {
-                Some(Ok(res)) => results.push((0, res)),
-                Some(Err(payload)) => {
-                    self.poisoned = true;
-                    resume_unwind(payload);
-                }
-                None => {}
             }
             if worker_panicked {
-                self.poisoned = true;
                 panic!("shard worker panicked");
             }
-        }
+            results
+        });
+        self.poisoned = false;
 
         // Scatter the packets back into their original positions.
         self.cursors.iter_mut().for_each(|c| *c = 0);
@@ -700,6 +493,7 @@ mod tests {
     use crate::switch::{SwitchCaps, SwitchProgram};
     use crate::table::Table;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// A per-slot saturating counter program over `slots` register
     /// entries, with the count echoed into the `count` field.
@@ -813,10 +607,17 @@ mod tests {
     fn sharded_counters_match_a_single_engine_bit_for_bit() {
         let total = 23;
         let (program, slot, count) = counter_program(total);
-        let mut single = CompiledSwitch::compile(&program).unwrap();
         let mut rng = SmallRng::seed_from_u64(7);
-        let stream: Vec<usize> = (0..800).map(|_| rng.gen_range(0..total)).collect();
-        for shards in [1usize, 2, 3, 8] {
+        let full: Vec<usize> = (0..800).map(|_| rng.gen_range(0..total)).collect();
+        // Either side of the threshold: packet by packet on the calling
+        // thread, then bucketed onto scoped shard threads.
+        let lens = [DEFAULT_PARALLEL_MIN - 1, DEFAULT_PARALLEL_MIN, full.len()];
+        for (shards, len) in [1usize, 2, 3, 8]
+            .into_iter()
+            .flat_map(|shards| lens.map(|len| (shards, len)))
+        {
+            let stream = &full[..len];
+            let mut single = CompiledSwitch::compile(&program).unwrap();
             let (mut sharded, _, _) = sharded_counter(total, shards);
             let mut phvs: Vec<Phv> = stream
                 .iter()
@@ -827,33 +628,25 @@ mod tests {
                 })
                 .collect();
             let passes = sharded.run_batch(&mut phvs).unwrap();
-            assert_eq!(passes, stream.len() as u64, "{shards} shards");
+            assert_eq!(passes, len as u64, "{shards} shards, {len} packets");
             // Per-packet outputs match the scalar single-engine run.
-            let mut fresh = CompiledSwitch::compile(&program).unwrap();
             for (i, (&s, phv)) in stream.iter().zip(&phvs).enumerate() {
-                let mut p = fresh.phv();
+                let mut p = single.phv();
                 p.set(slot, s as u64);
-                fresh.run(&mut p).unwrap();
+                single.run(&mut p).unwrap();
                 assert_eq!(
                     phv.get(count),
                     p.get(count),
-                    "{shards} shards, packet {i} (slot {s})"
+                    "{shards} shards, {len} packets, packet {i} (slot {s})"
                 );
             }
             // Global register state reassembles to the single engine's.
-            if shards == 1 {
-                for &s in &stream {
-                    let mut p = single.phv();
-                    p.set(slot, s as u64);
-                    single.run(&mut p).unwrap();
-                }
-            }
             let merged = sharded.merged_state();
             for s in 0..total {
                 assert_eq!(
                     merged.get(RegArrayId(0), s),
                     single.register(RegArrayId(0), s),
-                    "{shards} shards, slot {s}"
+                    "{shards} shards, {len} packets, slot {s}"
                 );
                 assert_eq!(
                     sharded.register(RegArrayId(0), s),
@@ -935,56 +728,14 @@ mod tests {
     }
 
     #[test]
-    fn tiny_batches_never_spawn_workers() {
-        // Regression: below `DEFAULT_PARALLEL_MIN` no pool must ever come
-        // up, whatever the claimed thread budget.
-        let (mut sw, slot, _) = sharded_counter(16, 4);
-        sw = sw.with_parallelism(8);
-        for _ in 0..10 {
-            let mut phvs: Vec<Phv> = (0..DEFAULT_PARALLEL_MIN as u64 - 1)
-                .map(|i| {
-                    let mut p = sw.shard(0).phv();
-                    p.set(slot, i % 16);
-                    p
-                })
-                .collect();
-            sw.run_batch(&mut phvs).unwrap();
-            assert!(!sw.worker_pool_active(), "tiny batch spawned workers");
-        }
-        // One batch at the threshold flips it on.
-        let mut phvs: Vec<Phv> = (0..DEFAULT_PARALLEL_MIN as u64)
-            .map(|i| {
-                let mut p = sw.shard(0).phv();
-                p.set(slot, i % 16);
-                p
-            })
-            .collect();
-        sw.run_batch(&mut phvs).unwrap();
-        assert!(sw.worker_pool_active());
-        // A single-thread budget never spawns, at any batch size.
-        let (mut seq, slot, _) = sharded_counter(16, 4);
-        seq = seq.with_parallelism(1);
-        let mut phvs: Vec<Phv> = (0..500)
-            .map(|i| {
-                let mut p = seq.shard(0).phv();
-                p.set(slot, i % 16);
-                p
-            })
-            .collect();
-        seq.run_batch(&mut phvs).unwrap();
-        assert!(!seq.worker_pool_active());
-    }
-
-    #[test]
-    fn worker_pool_matches_single_engine_across_batches() {
-        // Force the pool on (the CI host may report one core) and check
-        // repeated batches through the same persistent workers stay
-        // bit-for-bit with a full-space engine; clones start poolless.
+    fn scoped_workers_match_single_engine_across_batches() {
+        // Repeated above-threshold batches through the same switch (fresh
+        // scoped shard threads each time) stay bit-for-bit with a
+        // full-space engine.
         let total = 29;
         let (program, slot, count) = counter_program(total);
         let mut single = CompiledSwitch::compile(&program).unwrap();
-        let (sw, _, _) = sharded_counter(total, 4);
-        let mut sw = sw.with_parallelism(4);
+        let (mut sw, _, _) = sharded_counter(total, 4);
         let mut rng = SmallRng::seed_from_u64(99);
         for batch in 0..6 {
             let slots: Vec<usize> = (0..300).map(|_| rng.gen_range(0..total)).collect();
@@ -1005,9 +756,6 @@ mod tests {
                 assert_eq!(phv.get(count), p.get(count), "batch {batch} slot {s}");
             }
         }
-        assert!(sw.worker_pool_active());
-        let clone = sw.clone();
-        assert!(!clone.worker_pool_active(), "clones must not share workers");
         let merged = sw.merged_state();
         for s in 0..total {
             assert_eq!(
@@ -1054,13 +802,12 @@ mod tests {
 
     #[test]
     fn worker_panic_poisons_the_switch_and_a_fresh_instance_recovers() {
-        let (sw, slot, _) = sharded_counter(8, 2);
-        let mut sw = sw.with_parallelism(2);
+        let (mut sw, slot, _) = sharded_counter(8, 2);
         // A PHV built from a *foreign, smaller* layout: the slot field
         // (id 0) exists, so routing and rebasing succeed, but the shard
         // engine then indexes the missing `count` column and panics —
-        // inside a pool worker, because slot 6 belongs to shard 1 and
-        // only shard 0 runs inline. Well-formed shard-0 packets pad the
+        // on a shard thread, because slot 6 belongs to shard 1 and only
+        // shard 0 runs on the caller. Well-formed shard-0 packets pad the
         // batch to the size that leaves the calling thread.
         let mut tiny = PhvLayout::new();
         let tiny_slot = tiny.field("slot", 16);
@@ -1096,8 +843,7 @@ mod tests {
         assert!(msg.contains("poisoned"), "got: {msg}");
         assert!(msg.contains("fresh instance"), "got: {msg}");
         // Recovery path: a rebuilt switch is healthy and aggregates.
-        let (fresh, fslot, fcount) = sharded_counter(8, 2);
-        let mut fresh = fresh.with_parallelism(2);
+        let (mut fresh, fslot, fcount) = sharded_counter(8, 2);
         let mut phv = fresh.shard(0).phv();
         phv.set(fslot, 6);
         fresh.run(&mut phv).unwrap();

@@ -1,14 +1,15 @@
-//! The `unsafe` budget: the compiled engine, the SoA lane buffer and the
-//! sharded dispatcher are the only places this crate uses `unsafe`, and
-//! the number of sites in each may only go down. A change that needs a
-//! new site has to raise the budget here, in review, next to the CI job
-//! that runs those modules under AddressSanitizer.
+//! The `unsafe` budget: the compiled engine and the SoA lane buffer are
+//! the only places this crate uses `unsafe`, and the number of sites in
+//! each may only go down. The sharded dispatcher keeps its entry at zero
+//! so it cannot grow one back unnoticed. A change that needs a new site
+//! has to raise the budget here, in review, next to the CI job that runs
+//! those modules under AddressSanitizer.
 
 use std::path::Path;
 
 /// Non-comment `unsafe` sites (blocks, `unsafe fn`, `unsafe impl`) per
 /// source file. Lower an entry when a change removes sites.
-const BUDGET: [(&str, usize); 3] = [("compile.rs", 14), ("phv.rs", 4), ("shard.rs", 7)];
+const BUDGET: [(&str, usize); 3] = [("compile.rs", 13), ("phv.rs", 4), ("shard.rs", 0)];
 
 /// Occurrences of the `unsafe` keyword outside `//` comments.
 fn unsafe_sites(source: &str) -> usize {
